@@ -31,6 +31,7 @@
 #include <sched.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -381,6 +382,10 @@ int smoke_main() {
   double k32_best = k32a.events_per_sec;
   if (k32b.events_per_sec > k32_best) k32_best = k32b.events_per_sec;
   if (k32c.events_per_sec > k32_best) k32_best = k32c.events_per_sec;
+  // Teardown is gated on the worst of the three: every shard count destroys
+  // the same ~116k metric providers.
+  const double k32_teardown =
+      std::max({k32a.teardown_sec, k32b.teardown_sec, k32c.teardown_sec});
 
   std::printf("events_per_sec=%.0f\n", r.events_per_sec);
   std::printf("peak_concurrent_msgs=%llu\n",
@@ -403,6 +408,7 @@ int smoke_main() {
   std::printf("hybrid_k32_hosts=%d\n", k32a.hosts);
   std::printf("hybrid_k32_digest_match=%d\n", k32_match ? 1 : 0);
   std::printf("hybrid_k32_events_per_sec=%.0f\n", k32_best);
+  std::printf("hybrid_k32_teardown_sec=%.3f\n", k32_teardown);
   return (serial == parallel && shard_match && k32_match) ? 0 : 1;
 }
 
@@ -447,15 +453,16 @@ int hybrid_main(std::string_view mode) {
     match = match && r.digest == digest0 && r.fg_completed == r.fg_sent &&
             r.bulk_completed == r.bulk_count;
     std::printf(
-        "shards=%u events=%llu wall=%.2fs Mevents/s=%.1f fg=%zu/%zu bulk=%zu/%zu "
-        "digest=%016llx\n",
+        "shards=%u events=%llu wall=%.2fs Mevents/s=%.1f teardown=%.2fs fg=%zu/%zu "
+        "bulk=%zu/%zu digest=%016llx\n",
         shards, static_cast<unsigned long long>(r.events), r.wall_sec,
-        r.events_per_sec / 1e6, r.fg_completed, r.fg_sent, r.bulk_completed,
-        r.bulk_count, static_cast<unsigned long long>(r.digest));
+        r.events_per_sec / 1e6, r.teardown_sec, r.fg_completed, r.fg_sent,
+        r.bulk_completed, r.bulk_count, static_cast<unsigned long long>(r.digest));
     auto& sec = report.section(stats::format("k32_shards_%u", shards));
     sec.add_scalar("events", static_cast<double>(r.events));
     sec.add_scalar("wall_sec", r.wall_sec);
     sec.add_scalar("events_per_sec", r.events_per_sec);
+    sec.add_scalar("teardown_sec", r.teardown_sec);
     sec.add_text("digest",
                  stats::format("%016llx", static_cast<unsigned long long>(r.digest)));
   }

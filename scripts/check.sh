@@ -109,7 +109,8 @@ run_scale_smoke() {
   # Hybrid gates: fig3/fig7 fluid-vs-packet foreground FCT delta within
   # hybrid_fct_delta_pct_max, bulk event collapse >= hybrid_bulk_event_ratio_min,
   # k=32 tenant-isolation digests identical across 1/2/4 shards plus a 75%
-  # events/s floor, and the idle-TCP-connection heap probe under its ceiling.
+  # events/s floor and a teardown ceiling (hybrid_k32_teardown_sec_max), and
+  # the idle-TCP-connection heap probe under its ceiling.
   cmake --preset release -S "$repo"
   cmake --build --preset release -j "$jobs" --target bench_scale
   local out
@@ -118,6 +119,7 @@ run_scale_smoke() {
   local events peak idle match base_events peak_min idle_max
   local scores smatch s1 s8 sspeed base_s1 speed_min gate_cores
   local iconn iconn_max hdelta hdelta_max hratio hratio_min hk32 hk32eps base_k32
+  local hk32td hk32td_max
   events="$(echo "$out" | sed -n 's/^events_per_sec=//p')"
   peak="$(echo "$out" | sed -n 's/^peak_concurrent_msgs=//p')"
   idle="$(echo "$out" | sed -n 's/^bytes_per_idle_msg=//p')"
@@ -132,6 +134,7 @@ run_scale_smoke() {
   hratio="$(echo "$out" | sed -n 's/^hybrid_bulk_event_ratio=//p')"
   hk32="$(echo "$out" | sed -n 's/^hybrid_k32_digest_match=//p')"
   hk32eps="$(echo "$out" | sed -n 's/^hybrid_k32_events_per_sec=//p')"
+  hk32td="$(echo "$out" | sed -n 's/^hybrid_k32_teardown_sec=//p')"
   base_events="$(sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
   peak_min="$(sed -n 's/.*"peak_concurrent_msgs_min": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
   idle_max="$(sed -n 's/.*"bytes_per_idle_msg_max": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
@@ -142,6 +145,7 @@ run_scale_smoke() {
   hdelta_max="$(sed -n 's/.*"hybrid_fct_delta_pct_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
   hratio_min="$(sed -n 's/.*"hybrid_bulk_event_ratio_min": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
   base_k32="$(sed -n 's/.*"k32_events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
+  hk32td_max="$(sed -n 's/.*"hybrid_k32_teardown_sec_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
   if [ -z "$events" ] || [ -z "$base_events" ] || [ -z "$peak" ]; then
     echo "scale-smoke: failed to parse bench output or baseline" >&2
     exit 1
@@ -188,7 +192,8 @@ run_scale_smoke() {
     }
     printf "scale-smoke: OK shard1_events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
   }'
-  if [ -z "$hdelta" ] || [ -z "$hratio" ] || [ -z "$hk32" ] || [ -z "$iconn" ]; then
+  if [ -z "$hdelta" ] || [ -z "$hratio" ] || [ -z "$hk32" ] || [ -z "$iconn" ] ||
+     [ -z "$hk32td" ] || [ -z "$hk32td_max" ]; then
     echo "scale-smoke: failed to parse hybrid/idle-conn bench output" >&2
     exit 1
   fi
@@ -224,6 +229,13 @@ run_scale_smoke() {
       exit 1;
     }
     printf "scale-smoke: OK hybrid_k32_events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
+  }'
+  awk -v got="$hk32td" -v max="$hk32td_max" 'BEGIN {
+    if (got + 0 > max + 0) {
+      printf "scale-smoke: FAIL hybrid_k32_teardown_sec %.3f > %.1f\n", got, max;
+      exit 1;
+    }
+    printf "scale-smoke: OK hybrid_k32_teardown_sec %.3f <= %.1f\n", got, max;
   }'
   if [ "${scores:-0}" -ge "${gate_cores:-8}" ]; then
     awk -v got="$sspeed" -v min="$speed_min" -v s8="$s8" 'BEGIN {

@@ -221,6 +221,9 @@ TenantIsolationResult tenant_isolation(int k, unsigned shards, int msgs_per_host
     r.digest ^= splitmix64((std::uint64_t{idx} << 40) ^ static_cast<std::uint64_t>(at.ns()));
     ++r.bulk_completed;
   }
+  const auto t1 = Clock::now();
+  s.reset();
+  r.teardown_sec = std::chrono::duration<double>(Clock::now() - t1).count();
   return r;
 }
 

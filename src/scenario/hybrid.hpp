@@ -47,6 +47,9 @@ struct TenantIsolationResult {
   std::uint64_t events = 0;
   double wall_sec = 0;
   double events_per_sec = 0;
+  /// Host seconds to destroy the Scenario after the run (every component
+  /// deregisters its metric provider here).
+  double teardown_sec = 0;
   std::size_t fg_sent = 0;
   std::size_t fg_completed = 0;
   std::size_t bulk_count = 0;

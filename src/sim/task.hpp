@@ -19,7 +19,7 @@ namespace mtp::sim {
 
 class Task {
  public:
-  /// Inline capacity: sizeof(net::Packet) (144 as of this writing — the
+  /// Inline capacity: sizeof(net::Packet) (160 as of this writing — the
   /// variable-length header lists ride behind proto::Boxed pointers) plus a
   /// captured `this`, a SimTime, and rounding slack. Keeping this tight
   /// matters beyond the no-heap contract: every scheduler slot carries a

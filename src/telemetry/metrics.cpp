@@ -27,14 +27,24 @@ Registration MetricRegistry::add(std::string component, std::string instance,
 }
 
 void MetricRegistry::remove(std::uint64_t id) {
-  std::erase_if(providers_, [id](const Provider& p) { return p.id == id; });
+  const auto it = std::lower_bound(
+      providers_.begin(), providers_.end(), id,
+      [](const Provider& p, std::uint64_t key) { return p.id < key; });
+  if (it == providers_.end() || it->id != id || !it->live) return;
+  it->live = false;
+  it->fn = nullptr;
+  if (++dead_ * 2 > providers_.size()) {
+    std::erase_if(providers_, [](const Provider& p) { return !p.live; });
+    dead_ = 0;
+  }
 }
 
 RegistrySnapshot MetricRegistry::snapshot() const {
   RegistrySnapshot snap;
-  snap.providers.reserve(providers_.size());
+  snap.providers.reserve(provider_count());
   std::vector<MetricSample> scratch;
   for (const auto& p : providers_) {
+    if (!p.live) continue;
     scratch.clear();
     p.fn(scratch);
     ProviderSnapshot ps;

@@ -114,11 +114,17 @@ class MetricRegistry {
   [[nodiscard]] Registration add(std::string component, std::string instance,
                                  MetricFn fn);
 
+  /// Samples every live provider, in registration order.
   RegistrySnapshot snapshot() const;
-  std::size_t provider_count() const { return providers_.size(); }
+  std::size_t provider_count() const { return providers_.size() - dead_; }
 
  private:
   friend class Registration;
+  /// A binary search plus amortised O(1) work. Ids are handed out in
+  /// increasing order, so `providers_` stays sorted by id. Removal
+  /// tombstones the entry and releases its callback; once more than half the
+  /// entries are tombstones, one pass compacts them away. Tearing down an
+  /// n-provider fabric is therefore O(n log n), not O(n^2).
   void remove(std::uint64_t id);
 
   struct Provider {
@@ -126,8 +132,10 @@ class MetricRegistry {
     std::string component;
     std::string instance;
     MetricFn fn;
+    bool live = true;
   };
-  std::vector<Provider> providers_;
+  std::vector<Provider> providers_;  ///< sorted by id; may hold tombstones
+  std::size_t dead_ = 0;             ///< tombstones in `providers_`
   std::uint64_t next_id_ = 0;
 };
 

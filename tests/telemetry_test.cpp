@@ -108,6 +108,156 @@ TEST_F(TelemetryTest, SnapshotJsonEscapesAndRenders) {
   EXPECT_NE(json.find("\"spins\":42"), std::string::npos);
 }
 
+// Registry contract under churn. Each test owns a private registry so the
+// provider lists it checks hold exactly the providers it added.
+
+/// A provider whose one sample carries its registration index.
+Registration add_indexed(MetricRegistry& reg, int i) {
+  return reg.add("widget", "w" + std::to_string(i),
+                 [i](std::vector<MetricSample>& out) {
+                   out.push_back({"index", MetricKind::kGauge, static_cast<double>(i)});
+                 });
+}
+
+/// The `index` samples of a snapshot, in snapshot order.
+std::vector<int> snapshot_indices(const MetricRegistry& reg) {
+  std::vector<int> out;
+  for (const auto& p : reg.snapshot().providers) {
+    EXPECT_EQ(p.instance, "w" + std::to_string(static_cast<int>(p.metrics.at(0).value)));
+    out.push_back(static_cast<int>(p.metrics.at(0).value));
+  }
+  return out;
+}
+
+TEST_F(TelemetryTest, RegistryOutOfOrderRemovalsThenAddsKeepRegistrationOrder) {
+  MetricRegistry reg;
+  std::vector<Registration> h;
+  for (int i = 0; i < 8; ++i) h.push_back(add_indexed(reg, i));
+  for (int i : {5, 1, 6, 2}) h[i].reset();
+  EXPECT_EQ(reg.provider_count(), 4u);
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{0, 3, 4, 7}));
+
+  for (int i = 8; i < 11; ++i) h.push_back(add_indexed(reg, i));
+  h[0].reset();
+  h[9].reset();
+  EXPECT_EQ(reg.provider_count(), 5u);
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{3, 4, 7, 8, 10}));
+}
+
+TEST_F(TelemetryTest, RegistrySnapshotAfterCompactionKeepsOrderAndExactCount) {
+  MetricRegistry reg;
+  std::vector<Registration> h;
+  for (int i = 0; i < 100; ++i) h.push_back(add_indexed(reg, i));
+  // Drop every index not divisible by 4, back half first: 75 removals, so
+  // the tombstones pass half the entries and at least one compaction runs.
+  std::vector<int> live;
+  for (int i = 99; i >= 0; i -= 2) h[i].reset();
+  for (int i = 2; i < 100; i += 4) h[i].reset();
+  for (int i = 0; i < 100; i += 4) live.push_back(i);
+  EXPECT_EQ(reg.provider_count(), live.size());
+  EXPECT_EQ(snapshot_indices(reg), live);
+
+  // Providers added after a compaction land behind the survivors.
+  for (int i = 100; i < 104; ++i) {
+    h.push_back(add_indexed(reg, i));
+    live.push_back(i);
+  }
+  h[40].reset();
+  std::erase(live, 40);
+  EXPECT_EQ(reg.provider_count(), live.size());
+  EXPECT_EQ(snapshot_indices(reg), live);
+}
+
+TEST_F(TelemetryTest, RegistryDoubleDropAndMoveOntoLiveHandleLeaveOthersAlone) {
+  MetricRegistry reg;
+  Registration a = add_indexed(reg, 0);
+  Registration b = add_indexed(reg, 1);
+  Registration c = add_indexed(reg, 2);
+  Registration d = add_indexed(reg, 3);
+
+  b.reset();
+  b.reset();  // the second drop is a no-op
+  EXPECT_FALSE(b.active());
+  EXPECT_EQ(reg.provider_count(), 3u);
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{0, 2, 3}));
+
+  // Moving d onto the live handle a drops a's provider and keeps d's.
+  a = std::move(d);
+  EXPECT_TRUE(a.active());
+  EXPECT_FALSE(d.active());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(reg.provider_count(), 2u);
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{2, 3}));
+
+  d.reset();  // a moved-from handle owns nothing
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{2, 3}));
+  a.reset();
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{2}));
+}
+
+TEST_F(TelemetryTest, RegistryEmptiedByRemovalsSnapshotsEmpty) {
+  MetricRegistry reg;
+  {
+    std::vector<Registration> h;
+    for (int i = 0; i < 5; ++i) h.push_back(add_indexed(reg, i));
+    h[2].reset();
+  }
+  EXPECT_EQ(reg.provider_count(), 0u);
+  EXPECT_TRUE(reg.snapshot().empty());
+  EXPECT_EQ(reg.snapshot().to_json(), "[]");
+
+  Registration again = add_indexed(reg, 7);
+  EXPECT_EQ(snapshot_indices(reg), (std::vector<int>{7}));
+}
+
+TEST_F(TelemetryTest, RegistryMatchesReferenceModelUnderRandomChurn) {
+  MetricRegistry reg;
+  std::vector<Registration> h;
+  std::vector<int> live;  // reference model: live indices in registration order
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (int step = 0; step < 4000; ++step) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    if (live.empty() || x % 5 < 3) {
+      const int i = static_cast<int>(h.size());
+      h.push_back(add_indexed(reg, i));
+      live.push_back(i);
+    } else {
+      const auto pos = static_cast<std::ptrdiff_t>((x >> 8) % live.size());
+      h[live[pos]].reset();
+      live.erase(live.begin() + pos);
+    }
+    ASSERT_EQ(reg.provider_count(), live.size());
+    if (step % 97 == 0) {
+      ASSERT_EQ(snapshot_indices(reg), live);
+    }
+  }
+  EXPECT_EQ(snapshot_indices(reg), live);
+}
+
+// Teardown must not be quadratic in fabric size. A quadratic removal path
+// takes minutes for 200k providers; ctest's TIMEOUT on this suite catches it.
+TEST_F(TelemetryTest, RegistryDropsTwoHundredThousandProvidersWithoutQuadraticCost) {
+  constexpr int kProviders = 200'000;
+  MetricRegistry reg;
+  std::vector<Registration> h;
+  h.reserve(kProviders);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < kProviders; ++i) {
+      h.push_back(reg.add("q", "i", [](std::vector<MetricSample>&) {}));
+    }
+    ASSERT_EQ(reg.provider_count(), static_cast<std::size_t>(kProviders));
+    if (pass == 0) {
+      for (auto& r : h) r.reset();  // first-to-last
+    } else {
+      for (auto it = h.rbegin(); it != h.rend(); ++it) it->reset();  // last-to-first
+    }
+    EXPECT_EQ(reg.provider_count(), 0u);
+    EXPECT_TRUE(reg.snapshot().empty());
+    h.clear();
+  }
+}
+
 // ------------------------------------------------------------------- sink
 
 TEST_F(TelemetryTest, EnabledFlagGatesInstrumentation) {
