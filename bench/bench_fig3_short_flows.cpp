@@ -17,8 +17,9 @@
 //
 // `--smoke` runs a trimmed deterministic subset and prints key=value lines
 // for scripts/check.sh transport-smoke: per-transport 16 KB closed-loop
-// p99s, the MPTCP flap-recovery time, and a per-transport shard-invariance
-// digest check (exits non-zero on any digest mismatch).
+// p99s, the Homa-vs-MTP p99 ratio, the MPTCP flap-recovery time, and a
+// per-transport shard-invariance digest check (exits non-zero on any digest
+// mismatch).
 //
 // Scenarios are independent simulations, so they run on a sim::ParallelSweep
 // by default; `--serial` runs them inline on one thread. Results are
@@ -285,6 +286,8 @@ int run_smoke() {
     std::printf("%s_p99_us_16k=%.3f\n", r.transport.c_str(), r.fct_p99_us);
     std::printf("%s_completed_16k=%zu\n", r.transport.c_str(), r.completed);
   }
+  // From the unrounded p99s: zoo[0] is MTP, zoo[2] the Homa-style transport.
+  std::printf("homa_vs_mtp_p99_ratio=%.4f\n", results[2].fct_p99_us / results[0].fct_p99_us);
 
   const FaultRecoveryResult mptcp_flap = run_fault_recovery("mptcp");
   std::printf("mptcp_flap_recovery_us=%.3f\n", mptcp_flap.recovery_us);

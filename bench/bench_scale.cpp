@@ -8,9 +8,9 @@
 //     102,400 messages injected inside 10 us, far faster than they drain, so
 //     >= 100k messages are concurrently in flight. The per-message retx
 //     timers live on the shared sim::TimerWheel (one bucket op per arm, not
-//     an O(inflight) scan), and the workload replays from one
-//     workload::ArrivalSchedule cursor event. Reports events/s against the
-//     BENCH_core.json end-to-end rate and peak RSS (getrusage).
+//     an O(inflight) scan), and the workload replays through
+//     workload::KeyedReplay, one pending event at a time. Reports events/s
+//     against the BENCH_core.json end-to-end rate and peak RSS (getrusage).
 //  2. Idle-message footprint: park 100k admitted-but-window-limited
 //     messages on one endpoint and report net heap bytes per message (the
 //     compact PktMeta/PktFifo layout; the old two-deque layout burned

@@ -12,7 +12,7 @@
 #   check.sh all           every gate in sequence
 set -euo pipefail
 
-repo="$(cd "$(dirname "$0")/.." && pwd)"
+repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 mode="${1:-asan}"
 
@@ -64,38 +64,58 @@ run_chaos() {
     -R 'Chaos|FaultInjector|RecoveryEdge|Impairment'
 }
 
+# Smoke-gate helpers. A lane sets `lane` (its mode name) and `json` (its
+# BENCH_*.json, read with jq), runs `smoke TARGET`, then one `gate` per bound.
+# A key missing from the bench output or the baseline fails; it never reads as 0.
+lane="" json="" bench="" out=""
+
+fail() { echo "$lane: FAIL $*" >&2; exit 1; }
+
+# smoke TARGET: build the release bench TARGET and capture its --smoke output.
+smoke() {
+  command -v jq >/dev/null || fail "jq is required to read $json"
+  cmake --preset release -S "$repo"
+  cmake --build --preset release -j "$jobs" --target "$1"
+  bench="$1"
+  out="$("$repo/build/bench/$1" --smoke)"
+  echo "$out"
+}
+
+# val KEY: the value the bench printed as KEY=value.
+val() {
+  sed -n "s/^$1=//p" <<<"$out" | tail -n 1 | grep . || fail "$bench printed no $1"
+}
+
+# bound FILE PATH: the number at jq PATH (e.g. .hybrid_baseline.k32_events_per_sec).
+bound() {
+  jq -e "$2 | numbers" "$1" || fail "$(basename "$1") has no number at $2"
+}
+
+# gate KEY OP BOUND [SCALE]: fail unless val(KEY) OP SCALE x BOUND, where OP is
+# one of <= >= > == and BOUND is a number or a jq path into $json. SCALE 0.75
+# is a 25% floor. Values are assigned here, not passed as $(...) arguments, so
+# a missing key stops the gate even where `set -e` does not fire.
+gate() {
+  local got lim="$3"
+  got="$(val "$1")" || return 1
+  if [[ "$lim" == .* ]]; then lim="$(bound "$json" "$3")" || return 1; fi
+  awk -v lane="$lane" -v key="$1" -v got="$got" -v op="$2" -v lim="$lim" -v scale="${4:-1}" 'BEGIN {
+    want = lim * scale; g = got + 0
+    ok = got ~ /^[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?$/ &&
+         (op == "<=" ? g <= want : op == ">=" ? g >= want : op == ">" ? g > want : op == "==" && g == want)
+    b = scale == 1 ? lim : sprintf("%.10g (%s x %s)", want, scale, lim)
+    printf "%s: %s %s %s %s%s %s\n", lane, ok ? "OK" : "FAIL", key, got, ok ? "" : "not ", op, b
+    exit !ok
+  }'
+}
+
 run_bench_smoke() {
   # Fails on a >25% events/sec regression against the recorded baseline, or
   # on any violation of the allocation-free scheduler contract.
-  cmake --preset release -S "$repo"
-  cmake --build --preset release -j "$jobs" --target bench_micro_core
-  local out
-  out="$("$repo/build/bench/bench_micro_core" --smoke)"
-  echo "$out"
-  local events allocs baseline allocs_max
-  events="$(echo "$out" | sed -n 's/^events_per_sec=//p')"
-  allocs="$(echo "$out" | sed -n 's/^allocs_per_event=//p')"
-  baseline="$(sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_core.json" | head -1)"
-  allocs_max="$(sed -n 's/.*"allocs_per_event_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_core.json" | head -1)"
-  if [ -z "$events" ] || [ -z "$baseline" ]; then
-    echo "bench-smoke: failed to parse events_per_sec (got '$events') or baseline (got '$baseline')" >&2
-    exit 1
-  fi
-  awk -v got="$events" -v base="$baseline" 'BEGIN {
-    floor = base * 0.75;
-    if (got < floor) {
-      printf "bench-smoke: FAIL events_per_sec %.0f < 75%% of baseline %.0f (floor %.0f)\n", got, base, floor;
-      exit 1;
-    }
-    printf "bench-smoke: OK events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
-  }'
-  awk -v got="$allocs" -v max="$allocs_max" 'BEGIN {
-    if (got > max) {
-      printf "bench-smoke: FAIL allocs_per_event %f > %f\n", got, max;
-      exit 1;
-    }
-    printf "bench-smoke: OK allocs_per_event %f <= %f\n", got, max;
-  }'
+  lane=bench-smoke json="$repo/BENCH_core.json"
+  smoke bench_micro_core
+  gate events_per_sec '>=' .smoke_baseline.events_per_sec 0.75
+  gate allocs_per_event '<=' .smoke_baseline.allocs_per_event_max
 }
 
 run_scale_smoke() {
@@ -111,143 +131,26 @@ run_scale_smoke() {
   # k=32 tenant-isolation digests identical across 1/2/4 shards plus a 75%
   # events/s floor and a teardown ceiling (hybrid_k32_teardown_sec_max), and
   # the idle-TCP-connection heap probe under its ceiling.
-  cmake --preset release -S "$repo"
-  cmake --build --preset release -j "$jobs" --target bench_scale
-  local out
-  out="$("$repo/build/bench/bench_scale" --smoke)"
-  echo "$out"
-  local events peak idle match base_events peak_min idle_max
-  local scores smatch s1 s8 sspeed base_s1 speed_min gate_cores
-  local iconn iconn_max hdelta hdelta_max hratio hratio_min hk32 hk32eps base_k32
-  local hk32td hk32td_max
-  events="$(echo "$out" | sed -n 's/^events_per_sec=//p')"
-  peak="$(echo "$out" | sed -n 's/^peak_concurrent_msgs=//p')"
-  idle="$(echo "$out" | sed -n 's/^bytes_per_idle_msg=//p')"
-  match="$(echo "$out" | sed -n 's/^digest_match=//p')"
-  scores="$(echo "$out" | sed -n 's/^shard_available_cores=//p')"
-  smatch="$(echo "$out" | sed -n 's/^shard_digest_match=//p')"
-  s1="$(echo "$out" | sed -n 's/^shard1_events_per_sec=//p')"
-  s8="$(echo "$out" | sed -n 's/^shard8_events_per_sec=//p')"
-  sspeed="$(echo "$out" | sed -n 's/^shard_speedup=//p')"
-  iconn="$(echo "$out" | sed -n 's/^bytes_per_idle_conn=//p')"
-  hdelta="$(echo "$out" | sed -n 's/^hybrid_fct_delta_pct=//p')"
-  hratio="$(echo "$out" | sed -n 's/^hybrid_bulk_event_ratio=//p')"
-  hk32="$(echo "$out" | sed -n 's/^hybrid_k32_digest_match=//p')"
-  hk32eps="$(echo "$out" | sed -n 's/^hybrid_k32_events_per_sec=//p')"
-  hk32td="$(echo "$out" | sed -n 's/^hybrid_k32_teardown_sec=//p')"
-  base_events="$(sed -n 's/.*"events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  peak_min="$(sed -n 's/.*"peak_concurrent_msgs_min": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  idle_max="$(sed -n 's/.*"bytes_per_idle_msg_max": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  base_s1="$(sed -n 's/.*"k16_shard1_events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  speed_min="$(sed -n 's/.*"speedup_min": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  gate_cores="$(sed -n 's/.*"speedup_gate_min_cores": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  iconn_max="$(sed -n 's/.*"bytes_per_idle_conn_max": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  hdelta_max="$(sed -n 's/.*"hybrid_fct_delta_pct_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  hratio_min="$(sed -n 's/.*"hybrid_bulk_event_ratio_min": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  base_k32="$(sed -n 's/.*"k32_events_per_sec": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  hk32td_max="$(sed -n 's/.*"hybrid_k32_teardown_sec_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  if [ -z "$events" ] || [ -z "$base_events" ] || [ -z "$peak" ]; then
-    echo "scale-smoke: failed to parse bench output or baseline" >&2
-    exit 1
-  fi
-  if [ "$match" != "1" ]; then
-    echo "scale-smoke: FAIL serial vs ParallelSweep digest mismatch" >&2
-    exit 1
-  fi
-  if [ -z "$smatch" ] || [ -z "$s1" ] || [ -z "$base_s1" ]; then
-    echo "scale-smoke: failed to parse sharded bench output or shard baseline" >&2
-    exit 1
-  fi
-  if [ "$smatch" != "1" ]; then
-    echo "scale-smoke: FAIL serial vs sharded digest mismatch" >&2
-    exit 1
-  fi
-  awk -v got="$events" -v base="$base_events" 'BEGIN {
-    floor = base * 0.75;
-    if (got < floor) {
-      printf "scale-smoke: FAIL events_per_sec %.0f < 75%% of baseline %.0f (floor %.0f)\n", got, base, floor;
-      exit 1;
-    }
-    printf "scale-smoke: OK events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
-  }'
-  awk -v got="$peak" -v min="$peak_min" 'BEGIN {
-    if (got + 0 < min + 0) {
-      printf "scale-smoke: FAIL peak_concurrent_msgs %d < %d\n", got, min;
-      exit 1;
-    }
-    printf "scale-smoke: OK peak_concurrent_msgs %d >= %d\n", got, min;
-  }'
-  awk -v got="$idle" -v max="$idle_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "scale-smoke: FAIL bytes_per_idle_msg %.1f > %d\n", got, max;
-      exit 1;
-    }
-    printf "scale-smoke: OK bytes_per_idle_msg %.1f <= %d\n", got, max;
-  }'
-  awk -v got="$s1" -v base="$base_s1" 'BEGIN {
-    floor = base * 0.75;
-    if (got < floor) {
-      printf "scale-smoke: FAIL shard1_events_per_sec %.0f < 75%% of baseline %.0f (floor %.0f)\n", got, base, floor;
-      exit 1;
-    }
-    printf "scale-smoke: OK shard1_events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
-  }'
-  if [ -z "$hdelta" ] || [ -z "$hratio" ] || [ -z "$hk32" ] || [ -z "$iconn" ] ||
-     [ -z "$hk32td" ] || [ -z "$hk32td_max" ]; then
-    echo "scale-smoke: failed to parse hybrid/idle-conn bench output" >&2
-    exit 1
-  fi
-  if [ "$hk32" != "1" ]; then
-    echo "scale-smoke: FAIL k=32 tenant-isolation digest mismatch across 1/2/4 shards" >&2
-    exit 1
-  fi
-  awk -v got="$iconn" -v max="$iconn_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "scale-smoke: FAIL bytes_per_idle_conn %.1f > %d\n", got, max;
-      exit 1;
-    }
-    printf "scale-smoke: OK bytes_per_idle_conn %.1f <= %d\n", got, max;
-  }'
-  awk -v got="$hdelta" -v max="$hdelta_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "scale-smoke: FAIL hybrid_fct_delta_pct %.2f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "scale-smoke: OK hybrid_fct_delta_pct %.2f <= %.1f\n", got, max;
-  }'
-  awk -v got="$hratio" -v min="$hratio_min" 'BEGIN {
-    if (got + 0 < min + 0) {
-      printf "scale-smoke: FAIL hybrid_bulk_event_ratio %.1f < %.1f\n", got, min;
-      exit 1;
-    }
-    printf "scale-smoke: OK hybrid_bulk_event_ratio %.1fx >= %.1fx\n", got, min;
-  }'
-  awk -v got="$hk32eps" -v base="$base_k32" 'BEGIN {
-    floor = base * 0.75;
-    if (got < floor) {
-      printf "scale-smoke: FAIL hybrid_k32_events_per_sec %.0f < 75%% of baseline %.0f (floor %.0f)\n", got, base, floor;
-      exit 1;
-    }
-    printf "scale-smoke: OK hybrid_k32_events_per_sec %.0f >= floor %.0f (baseline %.0f)\n", got, floor, base;
-  }'
-  awk -v got="$hk32td" -v max="$hk32td_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "scale-smoke: FAIL hybrid_k32_teardown_sec %.3f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "scale-smoke: OK hybrid_k32_teardown_sec %.3f <= %.1f\n", got, max;
-  }'
-  if [ "${scores:-0}" -ge "${gate_cores:-8}" ]; then
-    awk -v got="$sspeed" -v min="$speed_min" -v s8="$s8" 'BEGIN {
-      if (got + 0 < min + 0) {
-        printf "scale-smoke: FAIL shard_speedup %.2f < %.1f (shard8_events_per_sec %.0f)\n", got, min, s8;
-        exit 1;
-      }
-      printf "scale-smoke: OK shard_speedup %.2f >= %.1f (shard8_events_per_sec %.0f)\n", got, min, s8;
-    }'
-  else
-    echo "scale-smoke: INFO shard_speedup $sspeed on $scores core(s) — gate needs >= ${gate_cores:-8} cores, skipped"
-  fi
+  lane=scale-smoke json="$repo/BENCH_scale.json"
+  smoke bench_scale
+  gate digest_match == 1
+  gate shard_digest_match == 1
+  gate events_per_sec '>=' .smoke_baseline.events_per_sec 0.75
+  gate peak_concurrent_msgs '>=' .smoke_baseline.peak_concurrent_msgs_min
+  gate bytes_per_idle_msg '<=' .smoke_baseline.bytes_per_idle_msg_max
+  gate shard1_events_per_sec '>=' .shard_baseline.k16_shard1_events_per_sec 0.75
+  gate hybrid_k32_digest_match == 1
+  gate bytes_per_idle_conn '<=' .smoke_baseline.bytes_per_idle_conn_max
+  gate hybrid_fct_delta_pct '<=' .hybrid_baseline.hybrid_fct_delta_pct_max
+  gate hybrid_bulk_event_ratio '>=' .hybrid_baseline.hybrid_bulk_event_ratio_min
+  gate hybrid_k32_events_per_sec '>=' .hybrid_baseline.k32_events_per_sec 0.75
+  gate hybrid_k32_teardown_sec '<=' .hybrid_baseline.hybrid_k32_teardown_sec_max
+  local cores min_cores speedup
+  cores="$(val shard_available_cores)"
+  min_cores="$(bound "$json" .shard_baseline.speedup_gate_min_cores)"
+  speedup="$(val shard_speedup)"
+  if [ "$cores" -ge "$min_cores" ]; then gate shard_speedup '>=' .shard_baseline.speedup_min
+  else echo "$lane: INFO shard_speedup $speedup on $cores core(s) — gate needs >= $min_cores cores, skipped"; fi
 }
 
 run_stream_smoke() {
@@ -257,63 +160,14 @@ run_stream_smoke() {
   # and a hard fail on any 1/2/4-shard stream digest mismatch. Every metric is
   # simulated time (deterministic per seed); --smoke takes best-of-3
   # interleaved FEC/ARQ pairs internally per the de-flaking pattern.
-  cmake --preset release -S "$repo"
-  cmake --build --preset release -j "$jobs" --target bench_stream_loss
-  local out
-  out="$("$repo/build/bench/bench_stream_loss" --smoke)"
-  echo "$out"
-  local p99 ratio overhead repairs dmatch complete
-  local p99_max ratio_min overhead_max repairs_min
-  p99="$(echo "$out" | sed -n 's/^stream_fec_p99_us=//p')"
-  ratio="$(echo "$out" | sed -n 's/^stream_p99_ratio=//p')"
-  overhead="$(echo "$out" | sed -n 's/^stream_fec_overhead_pct=//p')"
-  repairs="$(echo "$out" | sed -n 's/^stream_fec_repairs=//p')"
-  dmatch="$(echo "$out" | sed -n 's/^stream_digest_match=//p')"
-  complete="$(echo "$out" | sed -n 's/^stream_complete=//p')"
-  p99_max="$(sed -n 's/.*"stream_fec_p99_us_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  ratio_min="$(sed -n 's/.*"stream_p99_ratio_min": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  overhead_max="$(sed -n 's/.*"stream_fec_overhead_pct_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  repairs_min="$(sed -n 's/.*"stream_fec_repairs_min": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  if [ -z "$p99" ] || [ -z "$ratio" ] || [ -z "$p99_max" ] || [ -z "$ratio_min" ]; then
-    echo "stream-smoke: failed to parse bench output or stream_baseline" >&2
-    exit 1
-  fi
-  if [ "$dmatch" != "1" ]; then
-    echo "stream-smoke: FAIL stream digest mismatch across 1/2/4 shards" >&2
-    exit 1
-  fi
-  if [ "$complete" != "1" ]; then
-    echo "stream-smoke: FAIL not every record was delivered" >&2
-    exit 1
-  fi
-  awk -v got="$p99" -v max="$p99_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "stream-smoke: FAIL stream_fec_p99_us %.2f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "stream-smoke: OK stream_fec_p99_us %.2f <= %.1f\n", got, max;
-  }'
-  awk -v got="$ratio" -v min="$ratio_min" 'BEGIN {
-    if (got + 0 < min + 0) {
-      printf "stream-smoke: FAIL stream_p99_ratio %.2f < %.1f (FEC must beat ARQ-only)\n", got, min;
-      exit 1;
-    }
-    printf "stream-smoke: OK stream_p99_ratio %.2fx >= %.1fx\n", got, min;
-  }'
-  awk -v got="$overhead" -v max="$overhead_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "stream-smoke: FAIL stream_fec_overhead_pct %.2f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "stream-smoke: OK stream_fec_overhead_pct %.2f%% <= %.1f%%\n", got, max;
-  }'
-  awk -v got="$repairs" -v min="$repairs_min" 'BEGIN {
-    if (got + 0 < min + 0) {
-      printf "stream-smoke: FAIL stream_fec_repairs %d < %d (FEC never repaired)\n", got, min;
-      exit 1;
-    }
-    printf "stream-smoke: OK stream_fec_repairs %d >= %d\n", got, min;
-  }'
+  lane=stream-smoke json="$repo/BENCH_scale.json"
+  smoke bench_stream_loss
+  gate stream_digest_match == 1
+  gate stream_complete == 1
+  gate stream_fec_p99_us '<=' .stream_baseline.stream_fec_p99_us_max
+  gate stream_p99_ratio '>=' .stream_baseline.stream_p99_ratio_min
+  gate stream_fec_overhead_pct '<=' .stream_baseline.stream_fec_overhead_pct_max
+  gate stream_fec_repairs '>=' .stream_baseline.stream_fec_repairs_min
 }
 
 run_overload_smoke() {
@@ -324,49 +178,12 @@ run_overload_smoke() {
   # recover above its floor AND the admitted high-priority prober's p99 must
   # stay within ratio_max of an uncongested baseline. Any 1/2/4-shard digest
   # mismatch on the defended run is a hard fail.
-  cmake --preset release -S "$repo"
-  cmake --build --preset release -j "$jobs" --target bench_overload
-  local out
-  out="$("$repo/build/bench/bench_overload" --smoke)"
-  echo "$out"
-  local dis ena ratio dmatch
-  local dis_max ena_min ratio_max
-  dis="$(echo "$out" | sed -n 's/^overload_goodput_disabled_pct=//p')"
-  ena="$(echo "$out" | sed -n 's/^overload_goodput_enabled_pct=//p')"
-  ratio="$(echo "$out" | sed -n 's/^overload_p99_ratio=//p')"
-  dmatch="$(echo "$out" | sed -n 's/^overload_digest_match=//p')"
-  dis_max="$(sed -n 's/.*"overload_goodput_disabled_pct_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  ena_min="$(sed -n 's/.*"overload_goodput_enabled_pct_min": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  ratio_max="$(sed -n 's/.*"overload_p99_ratio_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  if [ -z "$dis" ] || [ -z "$ena" ] || [ -z "$ratio" ] || [ -z "$dis_max" ] || [ -z "$ena_min" ] || [ -z "$ratio_max" ]; then
-    echo "overload-smoke: failed to parse bench output or overload_baseline" >&2
-    exit 1
-  fi
-  if [ "$dmatch" != "1" ]; then
-    echo "overload-smoke: FAIL overload digest mismatch across 1/2/4 shards" >&2
-    exit 1
-  fi
-  awk -v got="$dis" -v max="$dis_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "overload-smoke: FAIL overload_goodput_disabled_pct %.2f > %.1f (no collapse: bench is not demonstrating metastability)\n", got, max;
-      exit 1;
-    }
-    printf "overload-smoke: OK overload_goodput_disabled_pct %.2f%% <= %.1f%%\n", got, max;
-  }'
-  awk -v got="$ena" -v min="$ena_min" 'BEGIN {
-    if (got + 0 < min + 0) {
-      printf "overload-smoke: FAIL overload_goodput_enabled_pct %.2f < %.1f\n", got, min;
-      exit 1;
-    }
-    printf "overload-smoke: OK overload_goodput_enabled_pct %.2f%% >= %.1f%%\n", got, min;
-  }'
-  awk -v got="$ratio" -v max="$ratio_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "overload-smoke: FAIL overload_p99_ratio %.2f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "overload-smoke: OK overload_p99_ratio %.2fx <= %.1fx\n", got, max;
-  }'
+  lane=overload-smoke json="$repo/BENCH_scale.json"
+  smoke bench_overload
+  gate overload_digest_match == 1
+  gate overload_goodput_disabled_pct '<=' .overload_baseline.overload_goodput_disabled_pct_max
+  gate overload_goodput_enabled_pct '>=' .overload_baseline.overload_goodput_enabled_pct_min
+  gate overload_p99_ratio '<=' .overload_baseline.overload_p99_ratio_max
 }
 
 run_transport_smoke() {
@@ -378,90 +195,26 @@ run_transport_smoke() {
   # floors, and a hard fail on any 1/2/4-shard completion-digest mismatch
   # (the bench exits non-zero on mismatch on its own). All simulated-time
   # metrics, deterministic per seed.
-  cmake --preset release -S "$repo"
-  cmake --build --preset release -j "$jobs" --target bench_fig3_short_flows
-  local out
-  out="$("$repo/build/bench/bench_fig3_short_flows" --smoke)"
-  echo "$out"
-  local mtp_p99 homa_p99 flap mtp_p99_max ratio_max flap_max done_min
-  mtp_p99="$(echo "$out" | sed -n 's/^mtp_p99_us_16k=//p')"
-  homa_p99="$(echo "$out" | sed -n 's/^homa_p99_us_16k=//p')"
-  flap="$(echo "$out" | sed -n 's/^mptcp_flap_recovery_us=//p')"
-  mtp_p99_max="$(sed -n 's/.*"transport_mtp_p99_us_16k_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  ratio_max="$(sed -n 's/.*"transport_homa_vs_mtp_p99_ratio_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  flap_max="$(sed -n 's/.*"transport_mptcp_flap_recovery_us_max": \([0-9.]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  done_min="$(sed -n 's/.*"transport_min_completed_16k": \([0-9]*\).*/\1/p' "$repo/BENCH_scale.json" | head -1)"
-  if [ -z "$mtp_p99" ] || [ -z "$homa_p99" ] || [ -z "$flap" ] || [ -z "$mtp_p99_max" ] || [ -z "$ratio_max" ] || [ -z "$flap_max" ] || [ -z "$done_min" ]; then
-    echo "transport-smoke: failed to parse bench output or transport_baseline" >&2
-    exit 1
-  fi
-  local t dm dc
-  for t in mtp tcp dctcp homa mptcp; do
-    dm="$(echo "$out" | sed -n "s/^${t}_digest_match=//p")"
-    if [ "$dm" != "1" ]; then
-      echo "transport-smoke: FAIL $t completion digest differs across 1/2/4 shards" >&2
-      exit 1
-    fi
-  done
-  for t in mtp dctcp homa mptcp; do
-    dc="$(echo "$out" | sed -n "s/^${t}_completed_16k=//p")"
-    awk -v got="$dc" -v min="$done_min" -v t="$t" 'BEGIN {
-      if (got + 0 < min + 0) {
-        printf "transport-smoke: FAIL %s completed %d < %d 16KB messages\n", t, got, min;
-        exit 1;
-      }
-      printf "transport-smoke: OK %s completed %d >= %d\n", t, got, min;
-    }'
-  done
-  awk -v got="$mtp_p99" -v max="$mtp_p99_max" 'BEGIN {
-    if (got + 0 > max + 0) {
-      printf "transport-smoke: FAIL mtp_p99_us_16k %.2f > %.1f\n", got, max;
-      exit 1;
-    }
-    printf "transport-smoke: OK mtp_p99_us_16k %.2f <= %.1f\n", got, max;
-  }'
-  awk -v homa="$homa_p99" -v mtp="$mtp_p99" -v max="$ratio_max" 'BEGIN {
-    ratio = homa / mtp;
-    if (ratio > max + 0) {
-      printf "transport-smoke: FAIL homa p99 %.2f us is %.2fx MTP%s %.2f us (max %.1fx)\n", homa, ratio, "\x27s", mtp, max;
-      exit 1;
-    }
-    printf "transport-smoke: OK homa/mtp p99 ratio %.2f <= %.1f\n", ratio, max;
-  }'
-  awk -v got="$flap" -v max="$flap_max" 'BEGIN {
-    if (got + 0 <= 0) {
-      printf "transport-smoke: FAIL mptcp never recovered from the link flap\n";
-      exit 1;
-    }
-    if (got + 0 > max + 0) {
-      printf "transport-smoke: FAIL mptcp_flap_recovery_us %.0f > %.0f\n", got, max;
-      exit 1;
-    }
-    printf "transport-smoke: OK mptcp_flap_recovery_us %.0f <= %.0f\n", got, max;
-  }'
+  lane=transport-smoke json="$repo/BENCH_scale.json"
+  smoke bench_fig3_short_flows
+  local t
+  for t in mtp tcp dctcp homa mptcp; do gate "${t}_digest_match" == 1; done
+  for t in mtp dctcp homa mptcp; do gate "${t}_completed_16k" '>=' .transport_baseline.transport_min_completed_16k; done
+  gate mtp_p99_us_16k '<=' .transport_baseline.transport_mtp_p99_us_16k_max
+  gate homa_vs_mtp_p99_ratio '<=' .transport_baseline.transport_homa_vs_mtp_p99_ratio_max
+  gate mptcp_flap_recovery_us '>' 0
+  gate mptcp_flap_recovery_us '<=' .transport_baseline.transport_mptcp_flap_recovery_us_max
 }
 
-case "$mode" in
-  asan) run_asan ;;
-  tsan) run_tsan ;;
-  chaos) run_chaos ;;
-  bench-smoke) run_bench_smoke ;;
-  scale-smoke) run_scale_smoke ;;
-  stream-smoke) run_stream_smoke ;;
-  overload-smoke) run_overload_smoke ;;
-  transport-smoke) run_transport_smoke ;;
-  all)
-    run_asan
-    run_tsan
-    run_chaos
-    run_bench_smoke
-    run_scale_smoke
-    run_stream_smoke
-    run_overload_smoke
-    run_transport_smoke
-    ;;
-  *)
-    echo "usage: check.sh [asan|tsan|chaos|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|all]" >&2
-    exit 2
-    ;;
-esac
+# Sourcing this file (tests/check_gates_test.sh does) defines the lanes
+# without running one.
+if [ "${BASH_SOURCE[0]}" = "$0" ]; then
+  case "$mode" in
+    asan | tsan | chaos | bench-smoke | scale-smoke | stream-smoke | overload-smoke | transport-smoke)
+      "run_${mode//-/_}" ;;
+    all) for m in asan tsan chaos bench_smoke scale_smoke stream_smoke overload_smoke transport_smoke; do "run_$m"; done ;;
+    *)
+      echo "usage: check.sh [asan|tsan|chaos|bench-smoke|scale-smoke|stream-smoke|overload-smoke|transport-smoke|all]" >&2
+      exit 2 ;;
+  esac
+fi

@@ -157,14 +157,6 @@ class Scenario {
     auto* f = dynamic_cast<transport::TcpFleet*>(fleet_.get());
     return f ? f->receiver_stack() : nullptr;
   }
-  transport::HomaEndpoint* homa_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::HomaFleet*>(fleet_.get());
-    return f ? &f->sender_endpoint(i) : nullptr;
-  }
-  transport::HomaEndpoint* homa_receiver() {
-    auto* f = dynamic_cast<transport::HomaFleet*>(fleet_.get());
-    return f ? f->receiver_endpoint() : nullptr;
-  }
 
   // Stream mode (ScenarioBuilder::stream_workload): one mtp::stream per
   // sender into the receiver's StreamMux. fct() then records per-record

@@ -209,9 +209,6 @@ class HomaFleet : public TransportFleet {
   Transport& sender(std::size_t i) override;
   TransportMetrics metrics() const override;
 
-  HomaEndpoint& sender_endpoint(std::size_t i) { return *eps_[i]; }
-  HomaEndpoint* receiver_endpoint() { return rcv_.get(); }
-
  private:
   std::vector<std::unique_ptr<HomaEndpoint>> eps_;
   std::unique_ptr<HomaEndpoint> rcv_;
@@ -225,9 +222,6 @@ class MptcpFleet : public TransportFleet {
   std::size_t num_senders() const override;
   Transport& sender(std::size_t i) override;
   TransportMetrics metrics() const override;
-
-  TcpStack& sender_stack(std::size_t i) { return *stacks_[i]; }
-  TcpStack* receiver_stack() { return rcv_.get(); }
 
  private:
   std::vector<std::unique_ptr<TcpStack>> stacks_;

@@ -136,11 +136,11 @@ class PoissonGenerator {
   std::uint64_t sent_ = 0;
 };
 
-/// Precomputed open-loop arrival schedule, replayed by a single cursor
-/// event. Benches used to park one scheduled event per message upfront —
-/// at 100k+ concurrent messages that is 100k live heap slots and closures
-/// before the first packet moves. A schedule is one flat vector (16 bytes
-/// per arrival) and exactly one pending simulator event at any moment, so
+/// Precomputed open-loop arrival schedule, replayed by KeyedReplay. Benches
+/// used to park one scheduled event per message upfront — at 100k+
+/// concurrent messages that is 100k live heap slots and closures before the
+/// first packet moves. A schedule is one flat vector (16 bytes per arrival)
+/// and a replay keeps exactly one pending simulator event at any moment, so
 /// generating load does not allocate per arrival during the run.
 class ArrivalSchedule {
  public:
@@ -178,31 +178,8 @@ class ArrivalSchedule {
   bool empty() const { return arrivals_.empty(); }
   const std::vector<Arrival>& arrivals() const { return arrivals_; }
 
-  /// Replay from the beginning on `simulator`. Arrivals that share a
-  /// timestamp are delivered inside one event.
-  void start(sim::Simulator& simulator, SendFn send) {
-    send_ = std::move(send);
-    cursor_ = 0;
-    schedule_next(simulator);
-  }
-
-  std::size_t replayed() const { return cursor_; }
-
  private:
-  void schedule_next(sim::Simulator& simulator) {
-    if (cursor_ >= arrivals_.size()) return;
-    simulator.schedule_at(arrivals_[cursor_].at, [this, &simulator] {
-      const sim::SimTime now = simulator.now();
-      while (cursor_ < arrivals_.size() && arrivals_[cursor_].at == now) {
-        send_(arrivals_[cursor_++]);
-      }
-      schedule_next(simulator);
-    });
-  }
-
   std::vector<Arrival> arrivals_;
-  std::size_t cursor_ = 0;
-  SendFn send_;
 };
 
 /// One long bulk transfer, declared to ScenarioBuilder::bulk_transfer().
@@ -240,15 +217,13 @@ inline std::vector<BulkTransfer> bulk_ring(std::uint32_t hosts, std::uint32_t co
 
 /// Shard-invariant replay of a subset of an ArrivalSchedule.
 ///
-/// Unlike ArrivalSchedule::start() — which chains plain FIFO events and
-/// batches same-timestamp arrivals — every arrival here executes as its own
-/// *keyed* event at (arrival.at, kArrivalKeyBase | schedule index). The
-/// tie-break position among same-timestamp events is derived from the
-/// schedule, not from when the cursor event happened to be scheduled, so S
-/// replays over S disjoint subsets (one per shard, each on its own
-/// simulator) execute every arrival at exactly the position the serial
-/// single-replay run would. Still one pending simulator event per replay at
-/// any moment.
+/// Every arrival executes as its own *keyed* event at (arrival.at,
+/// kArrivalKeyBase | schedule index). The tie-break position among
+/// same-timestamp events is derived from the schedule, not from when the
+/// replay's next event happened to be scheduled, so S replays over S
+/// disjoint subsets (one per shard, each on its own simulator) execute every
+/// arrival at exactly the position the serial single-replay run would. One
+/// pending simulator event per replay at any moment.
 class KeyedReplay {
  public:
   using Arrival = ArrivalSchedule::Arrival;
