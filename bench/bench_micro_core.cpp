@@ -4,64 +4,24 @@
 // packet-level experiments execute tens of millions of events.
 //
 // Two extra facilities beyond plain google-benchmark:
-//  - a global operator new/delete counter, so the hot benchmarks report
-//    allocs_per_event alongside events_per_sec (the allocation-free core
-//    contract, docs/perf.md);
+//  - a global operator new/delete counter (alloc_probe.hpp), so the hot
+//    benchmarks report allocs_per_event alongside events_per_sec (the
+//    allocation-free core contract, docs/perf.md);
 //  - a --smoke mode that runs a fixed workload and prints machine-readable
-//    `events_per_sec=` / `allocs_per_event=` lines for scripts/check.sh to
-//    compare against the recorded baseline in BENCH_core.json.
+//    `events_per_sec=` / `allocs_per_event=` / `e2e_allocs_per_event=` lines
+//    for scripts/check.sh to compare against BENCH_core.json.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string_view>
 
+#include "alloc_probe.hpp"
 #include "innetwork/queues.hpp"
 #include "mtp/endpoint.hpp"
 #include "net/network.hpp"
 #include "proto/mtp_header.hpp"
 #include "sim/simulator.hpp"
-
-namespace {
-// Counts every heap allocation in the process (benchmark library included).
-// Benchmarks read deltas around their timed loop, so the noise floor is
-// whatever the loop itself allocates — which is exactly the number we want.
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n);
-}
-void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 using namespace mtp;
 using namespace mtp::sim::literals;
@@ -94,7 +54,7 @@ void BM_SimulatorSteadyChurn(benchmark::State& state) {
     sim.schedule(sim::SimTime::nanoseconds(i % 64), [&counter] { ++counter; });
   }
   sim.run();  // warm-up: grow pool and heap to steady state
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = bench::heap_allocs();
   std::uint64_t events = 0;
   for (auto _ : state) {
     for (int i = 0; i < 512; ++i) {
@@ -103,7 +63,7 @@ void BM_SimulatorSteadyChurn(benchmark::State& state) {
     events += sim.run();
     benchmark::DoNotOptimize(counter);
   }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = bench::heap_allocs() - allocs_before;
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["allocs_per_event"] =
       benchmark::Counter(static_cast<double>(allocs) / static_cast<double>(events));
@@ -224,12 +184,12 @@ std::uint64_t run_e2e_transfer() {
 // allocs_per_event (whole-stack: endpoint bookkeeping included, so this is
 // the honest per-event allocation trajectory, not just the kernel's).
 void BM_EndToEndMtpTransfer(benchmark::State& state) {
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = bench::heap_allocs();
   std::uint64_t events = 0;
   for (auto _ : state) {
     events += run_e2e_transfer();
   }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t allocs = bench::heap_allocs() - allocs_before;
   // 1000 data packets + 1000 acks per iteration.
   state.SetItemsProcessed(state.iterations() * 2000);
   state.counters["events_per_sec"] =
@@ -241,30 +201,36 @@ BENCHMARK(BM_EndToEndMtpTransfer)->Unit(benchmark::kMicrosecond);
 
 // --smoke: fixed workload, machine-readable output, no benchmark machinery.
 // scripts/check.sh compares events_per_sec against BENCH_core.json (>25%
-// regression fails) and bounds allocs_per_event on the pure-scheduler churn.
+// regression fails), bounds allocs_per_event on the pure-scheduler churn, and
+// bounds e2e_allocs_per_event on the whole-stack transfer.
 int smoke_main() {
   using Clock = std::chrono::steady_clock;
 
   // Throughput probe: the end-to-end transfer, best-of-3 to shrug off
-  // scheduler noise on shared CI machines.
+  // scheduler noise on shared CI machines. Its allocations (set-up and
+  // teardown of each transfer's network included) over all 60 transfers are
+  // the whole-stack allocation rate.
   double best_events_per_sec = 0.0;
+  std::uint64_t e2e_events = 0;
+  const std::uint64_t e2e_allocs_before = bench::heap_allocs();
   for (int attempt = 0; attempt < 3; ++attempt) {
     std::uint64_t events = 0;
     const auto t0 = Clock::now();
     for (int i = 0; i < 20; ++i) events += run_e2e_transfer();
     const std::chrono::duration<double> dt = Clock::now() - t0;
     best_events_per_sec = std::max(best_events_per_sec, static_cast<double>(events) / dt.count());
+    e2e_events += events;
   }
+  const std::uint64_t e2e_allocs = bench::heap_allocs() - e2e_allocs_before;
 
-  // Allocation probe: steady-state scheduler churn only (the kernel
-  // contract; endpoint bookkeeping is measured by the benchmark counters).
+  // Allocation probe: steady-state scheduler churn (the kernel contract).
   sim::Simulator sim;
   int counter = 0;
   for (int i = 0; i < 512; ++i) {
     sim.schedule(sim::SimTime::nanoseconds(i % 64), [&counter] { ++counter; });
   }
   sim.run();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs_before = bench::heap_allocs();
   std::uint64_t churn_events = 0;
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 512; ++i) {
@@ -272,12 +238,14 @@ int smoke_main() {
     }
     churn_events += sim.run();
   }
-  const std::uint64_t churn_allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t churn_allocs = bench::heap_allocs() - allocs_before;
   benchmark::DoNotOptimize(counter);
 
   std::printf("events_per_sec=%.0f\n", best_events_per_sec);
   std::printf("allocs_per_event=%.6f\n",
               static_cast<double>(churn_allocs) / static_cast<double>(churn_events));
+  std::printf("e2e_allocs_per_event=%.6f\n",
+              static_cast<double>(e2e_allocs) / static_cast<double>(e2e_events));
   return 0;
 }
 

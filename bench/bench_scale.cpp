@@ -32,16 +32,15 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "net/fat_tree.hpp"
 #include "scenario/hybrid.hpp"
 #include "scenario/scenario.hpp"
@@ -49,39 +48,6 @@
 #include "stats/table.hpp"
 #include "telemetry/report.hpp"
 #include "transport/tcp.hpp"
-
-namespace {
-// Net heap bytes currently allocated by this process (tracked via the
-// global operator new/delete overrides below). Used for the idle-message
-// footprint probe; deltas around a parked population are what we report.
-std::atomic<std::int64_t> g_heap_bytes{0};
-
-void* track_alloc(std::size_t n) {
-  // Stash the size in a header so delete can subtract it.
-  constexpr std::size_t kHeader = alignof(std::max_align_t);
-  void* raw = std::malloc(n + kHeader);
-  if (!raw) throw std::bad_alloc();
-  *static_cast<std::size_t*>(raw) = n;
-  g_heap_bytes.fetch_add(static_cast<std::int64_t>(n), std::memory_order_relaxed);
-  return static_cast<char*>(raw) + kHeader;
-}
-
-void track_free(void* p) noexcept {
-  if (!p) return;
-  constexpr std::size_t kHeader = alignof(std::max_align_t);
-  void* raw = static_cast<char*>(p) - kHeader;
-  g_heap_bytes.fetch_sub(static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
-                         std::memory_order_relaxed);
-  std::free(raw);
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return track_alloc(n); }
-void* operator new[](std::size_t n) { return track_alloc(n); }
-void operator delete(void* p) noexcept { track_free(p); }
-void operator delete(void* p, std::size_t) noexcept { track_free(p); }
-void operator delete[](void* p) noexcept { track_free(p); }
-void operator delete[](void* p, std::size_t) noexcept { track_free(p); }
 
 using namespace mtp;
 using namespace mtp::sim::literals;
@@ -222,12 +188,12 @@ double idle_message_bytes(int count) {
   src.send_message(b->id(), kMsgBytes, {.dst_port = 80});
   net.simulator().run();
 
-  const std::int64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  const std::int64_t before = mtp::bench::heap_live_bytes();
   for (int i = 0; i < count; ++i) {
     // No done-callback: we are measuring protocol state, not app closures.
     src.send_message(b->id(), kMsgBytes, {.dst_port = 80});
   }
-  const std::int64_t after = g_heap_bytes.load(std::memory_order_relaxed);
+  const std::int64_t after = mtp::bench::heap_live_bytes();
   const double per_msg = static_cast<double>(after - before) / count;
   net.simulator().run();  // drain so destructors run cleanly
   return per_msg;
@@ -295,12 +261,12 @@ double idle_connection_bytes(int count) {
   opened.push_back(src.connect(b->id(), 7));
   net.simulator().run();
 
-  const std::int64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  const std::int64_t before = mtp::bench::heap_live_bytes();
   for (int i = 0; i < count; ++i) {
     opened.push_back(src.connect(b->id(), 7));
   }
   net.simulator().run();  // drive every handshake to ESTABLISHED
-  const std::int64_t after = g_heap_bytes.load(std::memory_order_relaxed);
+  const std::int64_t after = mtp::bench::heap_live_bytes();
   return static_cast<double>(after - before) / count;
 }
 

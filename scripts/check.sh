@@ -110,12 +110,14 @@ gate() {
 }
 
 run_bench_smoke() {
-  # Fails on a >25% events/sec regression against the recorded baseline, or
-  # on any violation of the allocation-free scheduler contract.
+  # Fails on a >25% events/sec regression against the recorded baseline, on
+  # any violation of the allocation-free scheduler contract, or on whole-stack
+  # e2e transfer allocations above their per-event bound.
   lane=bench-smoke json="$repo/BENCH_core.json"
   smoke bench_micro_core
   gate events_per_sec '>=' .smoke_baseline.events_per_sec 0.75
   gate allocs_per_event '<=' .smoke_baseline.allocs_per_event_max
+  gate e2e_allocs_per_event '<=' .smoke_baseline.e2e_allocs_per_event_max
 }
 
 run_scale_smoke() {

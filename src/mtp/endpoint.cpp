@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "sim/logging.hpp"
 #include "telemetry/trace.hpp"
@@ -155,17 +156,17 @@ void MtpEndpoint::exclude_pathlet(proto::PathletId pathlet, sim::SimTime duratio
   }
 }
 
-std::vector<proto::PathRef> MtpEndpoint::active_exclusions() {
-  std::vector<proto::PathRef> out;
+void MtpEndpoint::stamp_exclusions(proto::MtpHeader& hdr) {
+  // Only a live exclusion takes the header's list box: the data path sends
+  // without one.
   for (auto it = excluded_until_.begin(); it != excluded_until_.end();) {
     if (it->second <= sim_.now()) {
       it = excluded_until_.erase(it);
     } else {
-      out.push_back({it->first, 0});
+      hdr.path_exclude().push_back({it->first, 0});
       ++it;
     }
   }
-  return out;
 }
 
 void MtpEndpoint::penalize(proto::PathletId pathlet, proto::TrafficClassId tc,
@@ -336,7 +337,7 @@ bool MtpEndpoint::try_send_pkt(OutgoingMessage& msg, std::uint32_t pkt, bool is_
     msg.mark_retransmitted(pkt);
     ++pkts_retx_;
   }
-  msg.inflight_fifo.push_back(pkt);
+  msg.inflight_fifo.push_back(pkt, msg.total_pkts);
   if (!sim_.timers().armed(msg.retx_timer)) arm_retx(msg, sim_.now() + rto());
   send_data_pkt(msg, pkt, path);
   return true;
@@ -353,7 +354,7 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathInd
   p.flow_hash = mtp_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
   p.uid = sim_.next_packet_uid();
 
-  proto::MtpHeader hdr;
+  auto& hdr = p.header.emplace<proto::MtpHeader>();
   hdr.src_port = msg.opts.src_port;
   hdr.dst_port = msg.opts.dst_port;
   hdr.type = proto::MtpPacketType::kData;
@@ -365,16 +366,15 @@ void MtpEndpoint::send_data_pkt(OutgoingMessage& msg, std::uint32_t pkt, PathInd
   hdr.pkt_num = pkt;
   hdr.pkt_offset = static_cast<std::uint64_t>(pkt) * cfg_.mss;
   hdr.pkt_len = p.payload_bytes;
-  hdr.path_exclude() = active_exclusions();
+  stamp_exclusions(hdr);
   if (pkt == 0 && msg.opts.app) p.app = *msg.opts.app;
   if (pkt == 0 && msg.opts.stream) hdr.stream = *msg.opts.stream;
   if (pkt == 0 && msg.opts.deadline.ns() > 0) {
     hdr.overload.ensure().deadline_ns =
         static_cast<std::uint64_t>(msg.opts.deadline.ns());
   }
-  p.header_bytes =
-      cfg_.base_header_bytes + static_cast<std::uint32_t>(hdr.path_exclude().size() * 5);
-  p.header = std::move(hdr);
+  p.header_bytes = cfg_.base_header_bytes +
+                   static_cast<std::uint32_t>(std::as_const(hdr).path_exclude().size() * 5);
   ++pkts_sent_;
   host_.send(std::move(p));
 }
@@ -444,7 +444,7 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
     const std::int64_t bytes = msg.pkt_len(pkt, cfg_.mss);
     uncharge(msg.pkts[pkt].charged_path, msg.opts.tc, bytes);
     grant_uncharge(msg.dst, bytes);
-    msg.retx_queue.push_back(pkt);
+    msg.retx_queue.push_back(pkt, msg.total_pkts);
     enqueue_send(msg, /*urgent=*/true);
     any_lost = true;
     if (telemetry::TraceSink::enabled()) {
@@ -519,7 +519,7 @@ void MtpEndpoint::on_packet(net::Packet&& pkt) {
 }
 
 void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
-                            std::vector<proto::SackEntry> gap_nacks, bool flush_now) {
+                            std::span<const proto::SackEntry> gap_nacks, bool flush_now) {
   const auto& dh = data.mtp();
   // Fast path: this ack would flush immediately (NACKs, completions, and
   // everything when coalescing is off — the default) and nothing is batched
@@ -529,14 +529,15 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
   const bool immediate =
       flush_now || nack || !gap_nacks.empty() || cfg_.ack_coalesce <= 1;
   if (immediate && !pending_acks_.contains(data.src)) {
-    std::vector<proto::SackEntry> sacks;
-    std::vector<proto::SackEntry>& nacks = gap_nacks;
+    // Gap NACKs only ride a SACK (a NACKed packet is trimmed or damaged and
+    // triggers no gap check), so each list is one span.
+    assert(!nack || gap_nacks.empty());
+    const proto::SackEntry self{dh.msg_id, dh.pkt_num};
     if (nack) {
-      nacks.insert(nacks.begin(), {dh.msg_id, dh.pkt_num});
+      emit_ack(data, {}, {&self, 1});
     } else {
-      sacks.push_back({dh.msg_id, dh.pkt_num});
+      emit_ack(data, {&self, 1}, gap_nacks);
     }
-    emit_ack(data, std::move(sacks), std::move(nacks));
     return;
   }
   auto& pa = pending_acks_[data.src];
@@ -546,11 +547,11 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
   } else {
     pa.sacks.push_back({dh.msg_id, dh.pkt_num});
   }
-  for (auto& e : gap_nacks) pa.nacks.push_back(e);
+  pa.nacks.insert(pa.nacks.end(), gap_nacks.begin(), gap_nacks.end());
   // NACKs and completions flush immediately; otherwise batch to the
   // configured depth with a timer backstop.
   if (flush_now || !pa.nacks.empty() || pa.sacks.size() >= cfg_.ack_coalesce) {
-    emit_ack(pa.last_data, std::move(pa.sacks), std::move(pa.nacks));
+    emit_ack(pa.last_data, pa.sacks, pa.nacks);
     pending_acks_.erase(data.src);
     if (pending_acks_.empty() && ack_flush_task_->running()) ack_flush_task_->stop();
     return;
@@ -560,14 +561,14 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
 
 void MtpEndpoint::flush_acks() {
   for (auto& [src, pa] : pending_acks_) {
-    emit_ack(pa.last_data, std::move(pa.sacks), std::move(pa.nacks));
+    emit_ack(pa.last_data, pa.sacks, pa.nacks);
   }
   pending_acks_.clear();
   ack_flush_task_->stop();
 }
 
-void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
-                           std::vector<proto::SackEntry>&& nacks) {
+void MtpEndpoint::emit_ack(const net::Packet& data, std::span<const proto::SackEntry> sacks,
+                           std::span<const proto::SackEntry> nacks) {
   const auto& dh = data.mtp();
   net::Packet p;
   p.src = host_.id();
@@ -579,7 +580,7 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   p.flow_hash = mtp_flow_hash(p.src, dh.dst_port, data.src, dh.src_port);
   p.uid = sim_.next_packet_uid();
 
-  proto::MtpHeader hdr;
+  auto& hdr = p.header.emplace<proto::MtpHeader>();
   hdr.src_port = dh.dst_port;
   hdr.dst_port = dh.src_port;
   hdr.type = proto::MtpPacketType::kAck;
@@ -592,10 +593,15 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
   // The receiver copies the data packet's accumulated path feedback into the
   // ACK's feedback list — the core of pathlet congestion control. With
   // coalescing, the freshest packet's feedback stands in for the batch
-  // (paper §4: "feedback can be aggregated").
-  hdr.ack_path_feedback() = dh.path_feedback();
-  hdr.sack() = std::move(sacks);
-  hdr.nack() = std::move(nacks);
+  // (paper §4: "feedback can be aggregated"). The entries are written into
+  // the header's own (recycled) lists: no vector is built and moved in.
+  const auto& feedback = dh.path_feedback();
+  if (!feedback.empty() || !sacks.empty() || !nacks.empty()) {
+    auto& lists = hdr.lists.ensure();
+    lists.ack_path_feedback.assign(feedback.begin(), feedback.end());
+    lists.sack.assign(sacks.begin(), sacks.end());
+    lists.nack.assign(nacks.begin(), nacks.end());
+  }
   if (cfg_.overload.enabled) {
     // Receiver-driven admission: stamp this endpoint's per-sender credit so
     // the sender paces new in-flight bytes to the receiver's service rate.
@@ -604,9 +610,8 @@ void MtpEndpoint::emit_ack(const net::Packet& data, std::vector<proto::SackEntry
     ++grants_issued_;
   }
   p.header_bytes = cfg_.base_header_bytes +
-                   static_cast<std::uint32_t>(hdr.ack_path_feedback().size() * 14 +
-                                              (hdr.sack().size() + hdr.nack().size()) * 12);
-  p.header = std::move(hdr);
+                   static_cast<std::uint32_t>(feedback.size() * 14 +
+                                              (sacks.size() + nacks.size()) * 12);
   ++acks_sent_;
   if (telemetry::TraceSink::enabled()) {
     const auto& h = p.mtp();
@@ -713,7 +718,8 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
   // are still missing were almost certainly lost — ask for them now (each at
   // most once; the sender's timer is the backstop if the retransmission is
   // lost too).
-  std::vector<proto::SackEntry> gap_nacks;
+  std::vector<proto::SackEntry>& gap_nacks = gap_nacks_;  // reused scratch
+  gap_nacks.clear();
   if (cfg_.nack_gap_threshold != 0 && hdr.pkt_num >= cfg_.nack_gap_threshold) {
     const std::uint32_t frontier = hdr.pkt_num - cfg_.nack_gap_threshold;
     while (msg.gap_checked < frontier && gap_nacks.size() < 32) {
@@ -724,7 +730,7 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     }
   }
   const bool completes = msg.received == msg.total_pkts;
-  queue_ack(pkt, /*nack=*/false, std::move(gap_nacks),
+  queue_ack(pkt, /*nack=*/false, gap_nacks,
             /*flush_now=*/completes || cfg_.ack_coalesce <= 1);
 
   if (completes) {
@@ -800,8 +806,8 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
   // Learn the destination's current path from the echoed feedback, and feed
   // each pathlet's algorithm. (The ACK's source is the message destination.)
   if (!hdr.ack_path_feedback().empty()) {
-    std::vector<proto::PathletId> pathlets;
-    pathlets.reserve(hdr.ack_path_feedback().size());
+    std::vector<proto::PathletId>& pathlets = ack_pathlets_;  // reused scratch
+    pathlets.clear();
     for (const auto& pf : hdr.ack_path_feedback()) pathlets.push_back(pf.pathlet);
     current_path_[pkt.src] = intern_path(pathlets);
   }
@@ -819,7 +825,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
           msg.set_state(e.pkt_num, PktState::kLost);
           uncharge(msg.pkts[e.pkt_num].charged_path, msg.opts.tc, bytes);
           grant_uncharge(msg.dst, bytes);
-          msg.retx_queue.push_back(e.pkt_num);
+          msg.retx_queue.push_back(e.pkt_num, msg.total_pkts);
           enqueue_send(msg, /*urgent=*/true);
           for (const proto::PathletId p : paths_[msg.pkts[e.pkt_num].charged_path]) {
             penalize(p, msg.opts.tc, LossKind::kTrim);

@@ -27,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -237,7 +238,12 @@ class MtpEndpoint {
     bool empty() const { return head_ == q_.size(); }
     std::size_t size() const { return q_.size() - head_; }
     std::uint32_t front() const { return q_[head_]; }
-    void push_back(std::uint32_t v) { q_.push_back(v); }
+    /// The first push sizes the buffer for `expected` entries (the message's
+    /// packet count), so the FIFO allocates once instead of doubling.
+    void push_back(std::uint32_t v, std::size_t expected) {
+      if (q_.capacity() == 0) q_.reserve(expected);
+      q_.push_back(v);
+    }
     void pop_front() {
       if (++head_ == q_.size()) {  // drained: restart at the buffer's front
         q_.clear();
@@ -319,11 +325,11 @@ class MtpEndpoint {
   void on_packet(net::Packet&& pkt);
   void on_data(net::Packet&& pkt);
   void on_ack(const net::Packet& pkt);
-  struct PendingAck;
   void queue_ack(const net::Packet& data, bool nack,
-                 std::vector<proto::SackEntry> gap_nacks, bool flush_now);
-  void emit_ack(const net::Packet& data, std::vector<proto::SackEntry>&& sacks,
-                std::vector<proto::SackEntry>&& nacks);
+                 std::span<const proto::SackEntry> gap_nacks, bool flush_now);
+  /// Sends the ACK for `data`, writing the entries straight into its header.
+  void emit_ack(const net::Packet& data, std::span<const proto::SackEntry> sacks,
+                std::span<const proto::SackEntry> nacks);
   void flush_acks();
   void pump();
   void pump_srpt();
@@ -347,7 +353,8 @@ class MtpEndpoint {
   bool admit(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
   void charge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
   void uncharge(PathIndex path, proto::TrafficClassId tc, std::int64_t bytes);
-  std::vector<proto::PathRef> active_exclusions();
+  /// Appends the live Path Exclude entries to hdr, expiring stale ones.
+  void stamp_exclusions(proto::MtpHeader& hdr);
 
   // --- mtp::overload: receiver grants pace the sender per destination, and
   // busy-rejects abort outgoing messages instead of letting them time out.
@@ -403,6 +410,7 @@ class MtpEndpoint {
   std::unordered_map<std::uint64_t, SendGroup*> group_index_;
   std::vector<proto::MsgId> srpt_order_;  ///< SRPT only: ids in arrival order
   std::vector<proto::MsgId> pump_order_;  ///< pump_srpt() scratch (reused)
+  std::vector<proto::PathletId> ack_pathlets_;  ///< on_ack() scratch (reused)
   std::unordered_map<CcKey, CcState, CcKeyHash> cc_;
   std::vector<std::vector<proto::PathletId>> paths_;  ///< interned path table
   std::unordered_map<net::NodeId, PathIndex> current_path_;
@@ -450,6 +458,7 @@ class MtpEndpoint {
     std::vector<proto::SackEntry> nacks;
   };
   std::unordered_map<net::NodeId, PendingAck> pending_acks_;
+  std::vector<proto::SackEntry> gap_nacks_;  ///< on_data() scratch (reused)
   std::unique_ptr<sim::PeriodicTask> ack_flush_task_;
   std::uint64_t acks_sent_ = 0;
 

@@ -141,8 +141,9 @@ struct MtpHeader {
   //
   // Boxed behind one pointer: most data packets in flight carry none of
   // them, and the packet is moved on every hop, so the five lists would
-  // otherwise dominate sizeof(MtpHeader). Mutable accessors allocate the
-  // block on first touch; const accessors read empty lists for free.
+  // otherwise dominate sizeof(MtpHeader). Mutable accessors take a block on
+  // first touch (recycled per thread, see boxed.hpp); const accessors read
+  // empty lists for free, so read paths must go through a const header.
   struct Lists {
     std::vector<PathRef> path_exclude;
     std::vector<PathFeedback> path_feedback;
@@ -150,6 +151,14 @@ struct MtpHeader {
     std::vector<SackEntry> sack;
     std::vector<SackEntry> nack;
     bool operator==(const Lists&) const = default;
+    /// Empties every list, keeping capacity: how a recycled box is parked.
+    void clear() {
+      path_exclude.clear();
+      path_feedback.clear();
+      ack_path_feedback.clear();
+      sack.clear();
+      nack.clear();
+    }
   };
   Boxed<Lists> lists;
 

@@ -44,6 +44,7 @@
 #include "mtp/stream/stream.hpp"
 #include "net/fat_tree.hpp"
 #include "net/network.hpp"
+#include "proto/boxed.hpp"
 #include "sim/flow/fluid.hpp"
 #include "stats/stats.hpp"
 #include "telemetry/metrics.hpp"
@@ -230,6 +231,12 @@ class Scenario {
   void start_paced_bulk();
   net::Host* bulk_host(std::uint32_t idx) const;
 
+  /// Declared first, so destroyed last: once the fabric and its packets are
+  /// gone, the boxes they parked on this thread go back to the allocator,
+  /// and the next build does not allocate around them.
+  struct ReleaseParkedBoxes {
+    ~ReleaseParkedBoxes() { proto::release_parked_boxes(); }
+  } release_parked_boxes_;
   std::unique_ptr<net::Network> net_;
   Topology topo_;
   proto::PortNum dst_port_ = 80;

@@ -44,7 +44,8 @@ expect() {
 # BENCH_*.json records; the core count is raised so the speedup gate is armed.
 declare -A ok
 ok[bench_smoke]='events_per_sec=7437483
-allocs_per_event=0.000000'
+allocs_per_event=0.000000
+e2e_allocs_per_event=0.013784'
 ok[scale_smoke]='events_per_sec=3346000
 peak_concurrent_msgs=102400
 completed_msgs=102400
@@ -106,6 +107,7 @@ mptcp_digest_match=1'
 # ("-": no such edge).
 bounds='bench_smoke events_per_sec 6300000 6299999
 bench_smoke allocs_per_event 0.001000 0.001001
+bench_smoke e2e_allocs_per_event 0.050000 0.050001
 scale_smoke digest_match 1 0
 scale_smoke shard_digest_match 1 0
 scale_smoke events_per_sec 1275000 1274999

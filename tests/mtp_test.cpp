@@ -3,6 +3,8 @@
 // exclusion, priorities, and traffic-class separation.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "helpers.hpp"
 #include "mtp/cc_algorithm.hpp"
 #include "mtp/endpoint.hpp"
@@ -346,6 +348,125 @@ TEST(MtpExclusion, MessageAwareSwitchAvoidsExcludedPathlet) {
   net.simulator().run(50_ms);
   EXPECT_EQ(p1.forward->stats().pkts_delivered, 0u);
   EXPECT_GT(p2.forward->stats().pkts_delivered, 100u);
+}
+
+// ------------------------------------------------- header fast paths
+
+/// Records what every MTP packet crossing the switch carries. It reads
+/// through a const header, so sniffing never takes a list box itself.
+class HeaderLog : public net::IngressProcessor {
+ public:
+  struct Seen {
+    bool ack = false;
+    bool boxed = false;  ///< the header holds a list box
+    std::uint32_t header_bytes = 0;
+    std::size_t wire_size = 0;
+    std::size_t exclude = 0, feedback = 0, sack = 0, nack = 0;
+  };
+  std::vector<Seen> seen;
+
+  bool process(net::Packet& pkt, net::Switch&) override {
+    if (!pkt.is_mtp()) return false;
+    const proto::MtpHeader& h = std::as_const(pkt).mtp();
+    seen.push_back({h.is_ack(), static_cast<bool>(h.lists), pkt.header_bytes, h.wire_size(),
+                    h.path_exclude().size(), h.ack_path_feedback().size(), h.sack().size(),
+                    h.nack().size()});
+    return false;
+  }
+  std::vector<Seen> of_kind(bool ack) const {
+    std::vector<Seen> out;
+    for (const Seen& s : seen) {
+      if (s.ack == ack) out.push_back(s);
+    }
+    return out;
+  }
+};
+
+// Five u16 list counts and the stream and overload presence bytes.
+constexpr std::size_t kEmptyWire = proto::MtpHeader::kFixedSize + 12;
+
+TEST(MtpHeaderPath, DataPacketWithoutExclusionsCarriesNoListBox) {
+  MtpPair p;
+  auto log = std::make_shared<HeaderLog>();
+  p.t.sw->add_ingress(log);
+  p.dst.listen(80, [&](const ReceivedMessage&) {});
+  p.src.send_message(p.t.b->id(), 5000, {.dst_port = 80});
+  p.t.sim().run(10_ms);
+  const auto data = log->of_kind(false);
+  ASSERT_EQ(data.size(), 5u);
+  for (const auto& d : data) {
+    EXPECT_FALSE(d.boxed);
+    EXPECT_EQ(d.header_bytes, 64u);
+    EXPECT_EQ(d.wire_size, kEmptyWire);
+  }
+}
+
+TEST(MtpHeaderPath, ExclusionRidesInTheListBoxUntilItExpires) {
+  MtpPair p;
+  auto log = std::make_shared<HeaderLog>();
+  p.t.sw->add_ingress(log);
+  p.dst.listen(80, [&](const ReceivedMessage&) {});
+  p.src.exclude_pathlet(99, 1_ms);
+  p.src.send_message(p.t.b->id(), 2000, {.dst_port = 80});
+  p.t.sim().run(5_ms);  // past expiry
+  p.src.send_message(p.t.b->id(), 2000, {.dst_port = 80});
+  p.t.sim().run(20_ms);
+  const auto data = log->of_kind(false);
+  ASSERT_EQ(data.size(), 4u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(data[i].boxed);
+    EXPECT_EQ(data[i].exclude, 1u);
+    EXPECT_EQ(data[i].header_bytes, 64u + 5u);  // one (Path ID, TC) entry
+    EXPECT_EQ(data[i].wire_size, kEmptyWire + 5u);
+  }
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_FALSE(data[i].boxed);
+    EXPECT_EQ(data[i].header_bytes, 64u);
+  }
+}
+
+/// Runs one 20-packet message with `pathlets` stamping links on the way to
+/// the receiver and returns the ACKs the switch saw.
+std::vector<HeaderLog::Seen> acks_seen(int pathlets, std::uint32_t ack_coalesce) {
+  MtpConfig cfg;
+  cfg.ack_coalesce = ack_coalesce;
+  MtpPair p(cfg);
+  if (pathlets >= 1) p.t.a_to_sw->set_pathlet({.id = 11, .feedback = proto::FeedbackType::kEcn});
+  if (pathlets >= 2) p.t.sw_to_b->set_pathlet({.id = 22, .feedback = proto::FeedbackType::kEcn});
+  auto log = std::make_shared<HeaderLog>();
+  p.t.sw->add_ingress(log);
+  p.dst.listen(80, [&](const ReceivedMessage&) {});
+  p.src.send_message(p.t.b->id(), 20'000, {.dst_port = 80});
+  p.t.sim().run(20_ms);
+  EXPECT_EQ(p.dst.msgs_delivered(), 1u);
+  return log->of_kind(true);
+}
+
+TEST(MtpHeaderPath, AckSizesFollowTheirEntries) {
+  // (feedback entries echoed, SACK entries per ACK): 0, 1 and N of each.
+  struct Case {
+    int pathlets;
+    std::uint32_t coalesce;
+  };
+  for (const Case c : {Case{0, 1}, Case{1, 1}, Case{2, 1}, Case{2, 4}}) {
+    SCOPED_TRACE(::testing::Message() << c.pathlets << " pathlets, coalesce " << c.coalesce);
+    const auto acks = acks_seen(c.pathlets, c.coalesce);
+    ASSERT_FALSE(acks.empty());
+    std::size_t max_sacks = 0;
+    for (const auto& a : acks) {
+      const std::size_t entries = a.sack + a.nack;
+      EXPECT_TRUE(a.boxed);
+      EXPECT_EQ(a.feedback, static_cast<std::size_t>(c.pathlets));
+      EXPECT_EQ(a.header_bytes, 64u + 14u * a.feedback + 12u * entries);
+      EXPECT_EQ(a.wire_size, kEmptyWire + 14u * a.feedback + 12u * entries);
+      max_sacks = std::max(max_sacks, a.sack);
+    }
+    EXPECT_EQ(max_sacks, static_cast<std::size_t>(c.coalesce));
+  }
+  // The common ACK: one SACK entry and no feedback.
+  const auto plain = acks_seen(0, 1);
+  EXPECT_EQ(plain.front().header_bytes, 76u);
+  EXPECT_EQ(plain.front().wire_size, 67u);
 }
 
 TEST(MtpDuplicates, RetransmittedDataOfDeliveredMessageIsReAcked) {

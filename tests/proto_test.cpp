@@ -1,7 +1,16 @@
 // Wire-format tests: round-trip serialization of every header, malformed
-// input rejection, and a seeded property sweep over random MTP headers.
+// input rejection, a seeded property sweep over random MTP headers, and the
+// value semantics and per-thread recycling of the Boxed header fields.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include "proto/boxed.hpp"
 #include "proto/mtp_header.hpp"
 #include "proto/tcp_header.hpp"
 #include "sim/random.hpp"
@@ -254,6 +263,145 @@ TEST(UdpHeader, RoundTrips) {
   const auto parsed = UdpHeader::parse(buf);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, h);
+}
+
+// --- Boxed: value semantics and per-thread recycling.
+
+using Lists = MtpHeader::Lists;
+using ListsPool = detail::BoxPool<Lists>;
+
+Lists full_lists() {
+  Lists l;
+  l.path_exclude = {{5, 1}};
+  l.path_feedback = {{5, 1, {FeedbackType::kEcn, 1}}};
+  l.ack_path_feedback = {{7, 0, {FeedbackType::kDelay, 9}}};
+  l.sack = {{12, 3}, {12, 4}};
+  l.nack = {{13, 0}};
+  return l;
+}
+
+TEST(Boxed, CopiesAreDeepMovesStealNullEqualsEmpty) {
+  Boxed<Lists> null_box;
+  Boxed<Lists> empty;
+  empty.ensure();
+  EXPECT_FALSE(null_box);
+  EXPECT_TRUE(empty);
+  EXPECT_EQ(null_box, empty);  // null reads as a default-constructed value
+  EXPECT_EQ(null_box.view(), Lists{});
+
+  Boxed<Lists> a = full_lists();
+  Boxed<Lists> b = a;  // deep copy
+  ASSERT_TRUE(b);
+  EXPECT_NE(&*a, &*b);
+  EXPECT_EQ(a, b);
+  b->sack.push_back({14, 0});
+  EXPECT_EQ(a->sack.size(), 2u);
+  EXPECT_NE(a, b);
+
+  const Lists* held = &*a;
+  Boxed<Lists> c = std::move(a);  // steals the box
+  EXPECT_FALSE(a);
+  EXPECT_EQ(&*c, held);
+  b = c;  // copy-assign into a held box
+  EXPECT_EQ(b, c);
+  EXPECT_NE(&*b, &*c);
+  b = Boxed<Lists>{};
+  EXPECT_FALSE(b);
+  EXPECT_EQ(b, empty);
+  b = std::move(c);
+  EXPECT_EQ(&*b, held);
+  EXPECT_FALSE(c);
+}
+
+TEST(Boxed, ReleasedBoxReadsEmptyWhenReacquired) {
+  Boxed<Lists> box = full_lists();
+  const Lists* addr = &*box;
+  const std::size_t sack_capacity = box->sack.capacity();
+  const std::uint32_t parked = ListsPool::parked();
+  box.reset();
+  EXPECT_FALSE(box);
+  EXPECT_EQ(ListsPool::parked(), parked + 1);
+#if defined(__SANITIZE_ADDRESS__)
+  EXPECT_TRUE(__asan_address_is_poisoned(addr));  // use-after-release reports
+#endif
+  const Lists& again = box.ensure();  // the list is LIFO: the box just parked
+  EXPECT_EQ(&again, addr);
+  EXPECT_EQ(ListsPool::parked(), parked);
+  EXPECT_EQ(again, Lists{});  // no stale SACK, NACK or feedback entry
+  EXPECT_EQ(again.sack.capacity(), sack_capacity);  // the buffer was kept
+
+  // A copy takes a parked box too, and a header built on a recycled box
+  // serializes exactly like one built on a fresh box.
+  Boxed<Lists> src;
+  src.ensure().sack = {{1, 2}};
+  box.reset();
+  MtpHeader h;
+  h.lists = src;
+  EXPECT_EQ(&*h.lists, addr);
+  MtpHeader fresh;
+  fresh.sack() = {{1, 2}};
+  std::vector<std::uint8_t> a, b;
+  h.serialize(a);
+  fresh.serialize(b);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(h.wire_size(), fresh.wire_size());
+}
+
+TEST(Boxed, TypesWithoutClearAreReassignedOnRelease) {
+  Boxed<OverloadInfo> ov;
+  ov.ensure() = {kOverloadBusy, 100, 200};
+  ov.reset();
+  EXPECT_EQ(ov.ensure(), OverloadInfo{});
+  Boxed<StreamHeader> st;
+  st.ensure().seg_lens = {1, 2, 3};
+  st->fec_k = 3;
+  st.reset();
+  EXPECT_EQ(st.ensure(), StreamHeader{});
+}
+
+TEST(Boxed, BoxReleasedOnAnotherThreadJoinsThatThreadsList) {
+  Boxed<Lists> box = full_lists();
+  const std::uint32_t here = ListsPool::parked();
+  std::uint32_t there_before = 0, there_after = 0;
+  std::thread([&] {
+    there_before = ListsPool::parked();
+    Boxed<Lists> moved = std::move(box);
+    moved.reset();
+    there_after = ListsPool::parked();
+  }).join();  // the thread frees its list at exit
+  EXPECT_EQ(there_before, 0u);
+  EXPECT_EQ(there_after, 1u);
+  EXPECT_EQ(ListsPool::parked(), here);
+}
+
+TEST(Boxed, ReleaseParkedBoxesEmptiesEveryListOfTheThread) {
+  std::uint32_t lists_before = 0, lists_after = 0, overload_after = 0;
+  std::thread([&] {
+    Boxed<Lists> lists = full_lists();
+    Boxed<OverloadInfo> overload;
+    overload.ensure().grant_bytes = 1;
+    lists.reset();
+    overload.reset();
+    lists_before = ListsPool::parked();
+    release_parked_boxes();
+    lists_after = ListsPool::parked();
+    overload_after = detail::BoxPool<OverloadInfo>::parked();
+    EXPECT_EQ(lists.ensure(), Lists{});  // the list still works after a drain
+  }).join();
+  EXPECT_EQ(lists_before, 1u);
+  EXPECT_EQ(lists_after, 0u);
+  EXPECT_EQ(overload_after, 0u);
+}
+
+TEST(Boxed, FreeListIsBounded) {
+  std::uint32_t parked = 0;
+  std::thread([&] {
+    std::vector<Boxed<Lists>> boxes(ListsPool::kMaxParked + 8);
+    for (auto& b : boxes) b.ensure();
+    boxes.clear();
+    parked = ListsPool::parked();
+  }).join();
+  EXPECT_EQ(parked, ListsPool::kMaxParked);
 }
 
 }  // namespace
