@@ -10,7 +10,7 @@
 // completion times via the client's done-callback.
 //
 // The second half runs the same closed-loop one-message-at-a-time workload
-// through the transport zoo (transport::TransportRegistry): MTP and the
+// through the transport zoo (transport::TransportFleet): MTP and the
 // Homa-style receiver-driven transport complete short messages without a
 // handshake, while DCTCP-per-message and MPTCP pay connection setup — the
 // paper's argument, now as a four-way comparison behind one API.

@@ -55,7 +55,7 @@ const LossLevel kLossLevels[] = {
 
 struct Mode {
   const char* name;
-  const char* transport;  ///< TransportRegistry name
+  const char* transport;  ///< TransportFleet name
   stream::StreamConfig cfg;  // ignored for TCP
   bool is_stream;
 };

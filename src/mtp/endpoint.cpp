@@ -10,6 +10,21 @@
 namespace mtp::core {
 
 namespace {
+// Consecutive-timeout window: RTO backoff doubles at most once per this
+// period, no matter how many messages expire inside it; it also floors the
+// gap between two loss-driven decreases of one pathlet's window.
+constexpr sim::SimTime kRtoBackoffWindow = sim::SimTime::microseconds(100);
+// Receiver-side gap NACKs: when packet N of a message arrives and packet
+// K < N - threshold is still missing, NACK K once so the sender retransmits
+// in ~1 RTT instead of waiting out the timeout. The threshold absorbs benign
+// reordering.
+constexpr std::uint32_t kNackGapThreshold = 16;
+// Timer backstop that flushes coalesced ACKs (MtpConfig::ack_coalesce).
+constexpr sim::SimTime kAckFlushTimeout = sim::SimTime::microseconds(20);
+// mtp::overload: blind-start credit per destination before the first grant
+// arrives.
+constexpr std::int64_t kUnsolicitedGrantBytes = 16000;
+
 std::uint64_t mtp_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
                             proto::PortNum bp) {
   std::uint64_t h = (static_cast<std::uint64_t>(a) << 48) ^
@@ -30,7 +45,7 @@ MtpEndpoint::MtpEndpoint(net::Host& host, MtpConfig cfg)
   // per message with in-flight packets — an idle endpoint leaves the event
   // queue empty (simulations can run to quiescence).
   ack_flush_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, cfg_.ack_flush_timeout, [this] { flush_acks(); });
+      sim_, kAckFlushTimeout, [this] { flush_acks(); });
   metrics_ = telemetry::MetricRegistry::global().add(
       "mtp", host_.name(), [this](std::vector<telemetry::MetricSample>& out) {
         using telemetry::MetricKind;
@@ -172,7 +187,7 @@ void MtpEndpoint::stamp_exclusions(proto::MtpHeader& hdr) {
 void MtpEndpoint::penalize(proto::PathletId pathlet, proto::TrafficClassId tc,
                            LossKind kind) {
   const sim::SimTime gap =
-      rtt_valid_ ? std::max(srtt_ * 2, cfg_.retx_scan_period) : cfg_.min_rto;
+      rtt_valid_ ? std::max(srtt_ * 2, kRtoBackoffWindow) : cfg_.min_rto;
   CcState& st = cc_[CcKey{pathlet, tc}];
   if (st.decreased_once && sim_.now() - st.last_decrease < gap) return;
   st.last_decrease = sim_.now();
@@ -473,9 +488,9 @@ void MtpEndpoint::on_retx_timer(proto::MsgId id) {
   if (any_lost) {
     // Consecutive timeouts back the timer off exponentially (a blackholed
     // path must not be hammered at a fixed rate); any new SACK resets it.
-    // At most one doubling per scan period: many messages expiring in the
-    // same window are one timeout episode, as under the old single scan.
-    if (now - last_backoff_at_ >= cfg_.retx_scan_period) {
+    // At most one doubling per kRtoBackoffWindow: many messages expiring in
+    // the same window are one timeout episode, as under the old single scan.
+    if (now - last_backoff_at_ >= kRtoBackoffWindow) {
       rto_backoff_ = std::min(rto_backoff_ * 2.0, kMaxRtoBackoff);
       last_backoff_at_ = now;
     }
@@ -556,7 +571,7 @@ void MtpEndpoint::queue_ack(const net::Packet& data, bool nack,
     if (pending_acks_.empty() && ack_flush_task_->running()) ack_flush_task_->stop();
     return;
   }
-  if (!ack_flush_task_->running()) ack_flush_task_->start(cfg_.ack_flush_timeout);
+  if (!ack_flush_task_->running()) ack_flush_task_->start(kAckFlushTimeout);
 }
 
 void MtpEndpoint::flush_acks() {
@@ -714,14 +729,14 @@ void MtpEndpoint::on_data(net::Packet&& pkt) {
     }
   }
 
-  // Gap NACKs: packets more than nack_gap_threshold behind this arrival that
+  // Gap NACKs: packets more than kNackGapThreshold behind this arrival that
   // are still missing were almost certainly lost — ask for them now (each at
   // most once; the sender's timer is the backstop if the retransmission is
   // lost too).
   std::vector<proto::SackEntry>& gap_nacks = gap_nacks_;  // reused scratch
   gap_nacks.clear();
-  if (cfg_.nack_gap_threshold != 0 && hdr.pkt_num >= cfg_.nack_gap_threshold) {
-    const std::uint32_t frontier = hdr.pkt_num - cfg_.nack_gap_threshold;
+  if (hdr.pkt_num >= kNackGapThreshold) {
+    const std::uint32_t frontier = hdr.pkt_num - kNackGapThreshold;
     while (msg.gap_checked < frontier && gap_nacks.size() < 32) {
       if (!msg.have[msg.gap_checked]) {
         gap_nacks.push_back({hdr.msg_id, msg.gap_checked});
@@ -772,7 +787,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
     const auto& ov = *hdr.overload;
     if (cfg_.overload.enabled && ov.grant_bytes > 0) {
       auto [git, fresh_grant] = grants_.try_emplace(
-          pkt.src, DstGrant{cfg_.overload.unsolicited_grant_bytes, 0});
+          pkt.src, DstGrant{kUnsolicitedGrantBytes, 0});
       git->second.grant = static_cast<std::int64_t>(ov.grant_bytes);
       (void)fresh_grant;
     }
@@ -885,7 +900,7 @@ void MtpEndpoint::on_ack(const net::Packet& pkt) {
 bool MtpEndpoint::grant_admit(net::NodeId dst, std::int64_t bytes) {
   if (!cfg_.overload.enabled) return true;
   auto [it, fresh] = grants_.try_emplace(
-      dst, DstGrant{cfg_.overload.unsolicited_grant_bytes, 0});
+      dst, DstGrant{kUnsolicitedGrantBytes, 0});
   (void)fresh;
   const DstGrant& g = it->second;
   // inflight == 0 always admits: a stale or tiny grant can slow a sender to

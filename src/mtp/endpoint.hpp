@@ -49,11 +49,6 @@ struct MtpConfig {
 
   sim::SimTime min_rto = sim::SimTime::microseconds(200);
   sim::SimTime max_rto = sim::SimTime::milliseconds(100);
-  /// Consecutive-timeout window: RTO backoff doubles at most once per this
-  /// period, no matter how many messages expire inside it. (Historically the
-  /// retransmit-scan period; timers now live on the simulator's timer wheel
-  /// and fire per message — see docs/scale.md.)
-  sim::SimTime retx_scan_period = sim::SimTime::microseconds(100);
 
   /// Completed-message tombstones kept to re-ACK duplicate retransmissions.
   std::size_t completed_cache = 1 << 14;
@@ -62,12 +57,6 @@ struct MtpConfig {
   /// losses on it (0 disables auto-exclusion).
   int auto_exclude_after_losses = 0;
   sim::SimTime exclude_duration = sim::SimTime::milliseconds(1);
-
-  /// Receiver-side gap NACKs: when packet N of a message arrives and packet
-  /// K < N - threshold is still missing, NACK K once so the sender
-  /// retransmits in ~1 RTT instead of waiting out the timeout. The threshold
-  /// absorbs benign reordering. 0 disables gap NACKs.
-  std::uint32_t nack_gap_threshold = 16;
 
   /// Order in which the sender serves its outstanding messages.
   enum class Scheduling {
@@ -79,9 +68,9 @@ struct MtpConfig {
   /// ACK coalescing (paper §4 "Packet Header Overheads": feedback can be
   /// aggregated): batch up to this many SACKs per source into one ACK.
   /// 1 = ack every packet. Batches flush on the Nth packet, on message
-  /// completion, on any NACK, and on a short timer so senders never stall.
+  /// completion, on any NACK, and on a short timer (kAckFlushTimeout) so
+  /// senders never stall.
   std::uint32_t ack_coalesce = 1;
-  sim::SimTime ack_flush_timeout = sim::SimTime::microseconds(20);
 
   /// mtp::overload — receiver-driven admission + busy-reject shedding.
   /// Disabled by default: existing runs are byte-identical with the
@@ -90,8 +79,6 @@ struct MtpConfig {
     bool enabled = false;
     /// Receiver service-rate EWMA and grant sizing (see overload/admission).
     overload::AdmissionConfig admission;
-    /// Blind-start credit per destination before the first grant arrives.
-    std::int64_t unsolicited_grant_bytes = 16000;
     /// Receiver watermark: above this many messages under reassembly, fresh
     /// messages with priority < shed_below_priority are busy-rejected
     /// (0 disables watermark shedding; grants still pace senders).
@@ -424,8 +411,8 @@ class MtpEndpoint {
   /// srtt_ only ever learns from non-retransmitted packets.
   double rto_backoff_ = 1.0;
   static constexpr double kMaxRtoBackoff = 64.0;
-  /// Per-message wheel timers can expire many messages inside what used to
-  /// be one scan tick; the backoff doubles at most once per scan period.
+  /// Per-message wheel timers can expire many messages inside one timeout
+  /// episode; the backoff doubles at most once per kRtoBackoffWindow.
   sim::SimTime last_backoff_at_;
   std::uint64_t pkts_sent_ = 0;
   std::uint64_t pkts_retx_ = 0;

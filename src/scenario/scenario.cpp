@@ -281,24 +281,24 @@ std::unique_ptr<Scenario> ScenarioBuilder::build() {
   tctx.dst_port = dst_port_;
   tctx.sender_tcs = sender_tcs_;
   tctx.meter = s->meter_.get();
-  s->fleet_ = transport::TransportRegistry::global().build(transport_, tctx, tcfg_);
+  s->fleet_ = std::make_unique<transport::TransportFleet>(transport_, tctx, mtp_cfg_);
 
   if (stream_on_) {
     if (!rcv) {
       throw std::logic_error("Scenario: stream_workload needs a receiver topology");
     }
-    auto* mf = dynamic_cast<transport::MtpFleet*>(s->fleet_.get());
-    if (!mf) {
+    core::MtpEndpoint* mtp_rcv = s->fleet_->mtp_receiver();
+    if (!mtp_rcv) {
       throw std::logic_error(
           "Scenario: stream_workload rides MTP endpoints; it requires "
           "transport(\"mtp\"), not \"" + s->fleet_->name() + "\"");
     }
     // The receiver mux's listen() supersedes the fleet's no-op listener.
-    s->stream_rcv_ = std::make_unique<stream::StreamMux>(*mf->receiver_endpoint(),
-                                                         dst_port_, stream_cfg_);
+    s->stream_rcv_ = std::make_unique<stream::StreamMux>(*mtp_rcv, dst_port_,
+                                                         stream_cfg_);
     for (std::size_t i = 0; i < s->topo_.senders.size(); ++i) {
       s->stream_muxes_.push_back(std::make_unique<stream::StreamMux>(
-          mf->sender_endpoint(i), dst_port_, stream_cfg_));
+          *s->fleet_->mtp_sender(i), dst_port_, stream_cfg_));
       s->stream_senders_.push_back(
           &s->stream_muxes_.back()->open(rcv->id(), dst_port_));
       s->stream_src_index_[s->topo_.senders[i]->id()] = i;

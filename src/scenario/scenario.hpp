@@ -15,14 +15,14 @@
 //                .build();
 //   s->run();
 //
-// Transports are chosen by name from transport::TransportRegistry ("mtp",
-// "tcp", "dctcp", "homa", "mptcp", plus whatever tests register); unknown
-// names fail listing the registered set. The built Scenario owns the network
-// and a transport::TransportFleet — one transport::Transport per sender
-// host — so harness code never touches MtpEndpoint / TcpStack unless it
-// opts into the concrete accessors. Topologies are plain functors over
-// net::Network; the canned ones in namespace topo cover the paper's rigs,
-// and callers can pass their own.
+// Transports are chosen by name ("mtp", "tcp", "dctcp", "homa", "mptcp";
+// transport::TransportFleet::kNames); unknown names fail listing them. Only
+// MTP takes a config (mtp_config); the other transports run their defaults.
+// The built Scenario owns the network and a transport::TransportFleet — one
+// transport::Transport per sender host — so harness code never touches
+// MtpEndpoint / TcpStack unless it opts into the concrete accessors.
+// Topologies are plain functors over net::Network; the canned ones in
+// namespace topo cover the paper's rigs, and callers can pass their own.
 //
 // .shards(n) partitions the experiment across n sim::sharded space shards
 // (net::Network's conservative engine). The workload replays through one
@@ -134,30 +134,16 @@ class Scenario {
   /// available when the topology has a receiver.
   transport::Transport& sender(std::size_t i) { return fleet_->sender(i); }
 
-  /// The whole fleet: name(), per-sender transports, metrics() roll-up.
-  transport::TransportFleet& fleet() { return *fleet_; }
   std::string transport_name() const { return fleet_->name(); }
   /// RunReport columns: completions, pkts, retransmits, timeouts, grants.
   transport::TransportMetrics transport_metrics() const { return fleet_->metrics(); }
 
   // Concrete access for scenario-specific wiring; null when the scenario
-  // runs a different transport.
-  core::MtpEndpoint* mtp_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::MtpFleet*>(fleet_.get());
-    return f ? &f->sender_endpoint(i) : nullptr;
-  }
-  core::MtpEndpoint* mtp_receiver() {
-    auto* f = dynamic_cast<transport::MtpFleet*>(fleet_.get());
-    return f ? f->receiver_endpoint() : nullptr;
-  }
-  transport::TcpStack* tcp_sender(std::size_t i) {
-    auto* f = dynamic_cast<transport::TcpFleet*>(fleet_.get());
-    return f ? &f->sender_stack(i) : nullptr;
-  }
-  transport::TcpStack* tcp_receiver() {
-    auto* f = dynamic_cast<transport::TcpFleet*>(fleet_.get());
-    return f ? f->receiver_stack() : nullptr;
-  }
+  // runs a different transport family (tcp_* serve tcp, dctcp and mptcp).
+  core::MtpEndpoint* mtp_sender(std::size_t i) { return fleet_->mtp_sender(i); }
+  core::MtpEndpoint* mtp_receiver() { return fleet_->mtp_receiver(); }
+  transport::TcpStack* tcp_sender(std::size_t i) { return fleet_->tcp_sender(i); }
+  transport::TcpStack* tcp_receiver() { return fleet_->tcp_receiver(); }
 
   // Stream mode (ScenarioBuilder::stream_workload): one mtp::stream per
   // sender into the receiver's StreamMux. fct() then records per-record
@@ -294,33 +280,14 @@ class ScenarioBuilder {
     alternating_period_ = alternating_period;
     return *this;
   }
-  /// Pick the transport by registry name ("mtp", "tcp", "dctcp", "homa",
-  /// "mptcp", or anything tests registered). Unknown names make build()
-  /// throw, listing the registered set.
+  /// Pick the transport by name ("mtp", "tcp", "dctcp", "homa", "mptcp").
+  /// Unknown names make build() throw, listing the known ones.
   ScenarioBuilder& transport(std::string name) {
     transport_ = std::move(name);
     return *this;
   }
-  /// Same, with a full per-transport config bundle in one call.
-  ScenarioBuilder& transport(std::string name, transport::TransportConfig cfg) {
-    transport_ = std::move(name);
-    tcfg_ = std::move(cfg);
-    return *this;
-  }
-  ScenarioBuilder& transport_config(transport::TransportConfig cfg) {
-    tcfg_ = std::move(cfg);
-    return *this;
-  }
-  ScenarioBuilder& mtp_config(core::MtpConfig cfg) { tcfg_.mtp = std::move(cfg); return *this; }
-  /// Overload-control knobs alone, leaving the rest of the MTP config as
-  /// configured (receiver-driven admission, watermark shedding, deadlines).
-  ScenarioBuilder& mtp_overload(core::MtpConfig::OverloadControl ov) {
-    tcfg_.mtp.overload = std::move(ov);
-    return *this;
-  }
-  ScenarioBuilder& tcp_config(transport::TcpConfig cfg) { tcfg_.tcp = std::move(cfg); return *this; }
-  ScenarioBuilder& homa_config(transport::HomaConfig cfg) { tcfg_.homa = std::move(cfg); return *this; }
-  ScenarioBuilder& mptcp_config(transport::MptcpConfig cfg) { tcfg_.mptcp = std::move(cfg); return *this; }
+  /// Configures the MTP senders (the receiver runs MtpConfig defaults).
+  ScenarioBuilder& mtp_config(core::MtpConfig cfg) { mtp_cfg_ = std::move(cfg); return *this; }
   ScenarioBuilder& dst_port(proto::PortNum p) { dst_port_ = p; return *this; }
   /// Per-sender traffic class (MessageOptions.tc for MTP, TcpConfig.tc for
   /// TCP). Missing entries default to 0.
@@ -399,7 +366,7 @@ class ScenarioBuilder {
   Forwarding forwarding_ = Forwarding::kStatic;
   sim::SimTime alternating_period_ = 0_us;
   std::string transport_ = "mtp";
-  transport::TransportConfig tcfg_;
+  core::MtpConfig mtp_cfg_;
   proto::PortNum dst_port_ = 80;
   std::vector<proto::TrafficClassId> sender_tcs_;
   bool stream_on_ = false;

@@ -8,6 +8,21 @@ namespace mtp::transport {
 namespace {
 constexpr double kMaxBackoff = 64.0;
 
+constexpr std::uint32_t kMss = 1000;            // payload bytes per packet
+constexpr std::uint32_t kBaseHeaderBytes = 40;  // accounted fixed header overhead
+// Unscheduled window and per-grant lookahead: roughly one bandwidth-delay
+// product (25 KB ~ 100G x 2us RTT).
+constexpr std::int64_t kRttBytes = 25'000;
+// Messages granted concurrently (Homa's overcommitment degree): keeps the
+// downlink busy when the top choice's sender stalls.
+constexpr int kOvercommit = 2;
+constexpr std::uint8_t kUnscheduledPriority = 7;  // highest level, short messages
+constexpr std::uint8_t kSchedPriorities = 4;  // scheduled levels 0..n-1 by SRPT rank
+constexpr sim::SimTime kMinRto = sim::SimTime::microseconds(200);
+constexpr sim::SimTime kMaxRto = sim::SimTime::milliseconds(5);
+// Completed-message tombstones kept to re-ACK duplicate retransmissions.
+constexpr std::size_t kCompletedCache = 1 << 14;
+
 std::uint64_t homa_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
                              proto::PortNum bp) {
   std::uint64_t h = (static_cast<std::uint64_t>(a) << 48) ^
@@ -20,8 +35,8 @@ std::uint64_t homa_flow_hash(net::NodeId a, proto::PortNum ap, net::NodeId b,
 }
 }  // namespace
 
-HomaEndpoint::HomaEndpoint(net::Host& host, HomaConfig cfg)
-    : host_(host), cfg_(cfg), sim_(host.simulator()) {
+HomaEndpoint::HomaEndpoint(net::Host& host)
+    : host_(host), sim_(host.simulator()) {
   host_.set_mtp_handler([this](net::Packet&& pkt) { on_packet(std::move(pkt)); });
   metrics_ = telemetry::MetricRegistry::global().add(
       "homa", host_.name(), [this](std::vector<telemetry::MetricSample>& out) {
@@ -62,11 +77,11 @@ proto::MsgId HomaEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
   msg.dst = dst;
   msg.opts = opts;
   msg.total_bytes = bytes;
-  msg.total_pkts = static_cast<std::uint32_t>((bytes + cfg_.mss - 1) / cfg_.mss);
+  msg.total_pkts = static_cast<std::uint32_t>((bytes + kMss - 1) / kMss);
   msg.state.assign(msg.total_pkts, 0);
   msg.sent_at.assign(msg.total_pkts, sim::SimTime{});
   // The unscheduled window: one BDP goes out immediately, no grant needed.
-  msg.granted = std::min<std::int64_t>(bytes, cfg_.rtt_bytes);
+  msg.granted = std::min<std::int64_t>(bytes, kRttBytes);
   msg.sched_prio = 0;
   msg.started_at = sim_.now();
   msg.done = std::move(on_delivered);
@@ -77,26 +92,26 @@ proto::MsgId HomaEndpoint::send_message(net::NodeId dst, std::int64_t bytes,
 
 void HomaEndpoint::pump(OutMsg& msg) {
   while (msg.next_unsent < msg.total_pkts &&
-         static_cast<std::int64_t>(msg.next_unsent) * cfg_.mss < msg.granted) {
+         static_cast<std::int64_t>(msg.next_unsent) * kMss < msg.granted) {
     send_data_pkt(msg, msg.next_unsent, /*is_retx=*/false);
     ++msg.next_unsent;
   }
 }
 
 void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
-  const std::uint64_t offset = static_cast<std::uint64_t>(pkt) * cfg_.mss;
+  const std::uint64_t offset = static_cast<std::uint64_t>(pkt) * kMss;
   // Priority remapping: the unscheduled prefix rides the top level so short
   // messages cut ahead; granted bytes carry whatever level the receiver's
   // SRPT ranking assigned in the latest grant.
   const bool unscheduled =
-      static_cast<std::int64_t>(offset) < std::min<std::int64_t>(cfg_.rtt_bytes, msg.total_bytes);
+      static_cast<std::int64_t>(offset) < std::min<std::int64_t>(kRttBytes, msg.total_bytes);
   net::Packet p;
   p.src = host_.id();
   p.dst = msg.dst;
-  p.payload_bytes = msg.pkt_len(pkt, cfg_.mss);
+  p.payload_bytes = msg.pkt_len(pkt, kMss);
   p.ecn = net::Ecn::kEct;
   p.tc = msg.opts.tc;
-  p.priority = unscheduled ? cfg_.unscheduled_priority : msg.sched_prio;
+  p.priority = unscheduled ? kUnscheduledPriority : msg.sched_prio;
   p.flow_hash = homa_flow_hash(p.src, msg.opts.src_port, msg.dst, msg.opts.dst_port);
   p.uid = sim_.next_packet_uid();
 
@@ -112,7 +127,7 @@ void HomaEndpoint::send_data_pkt(OutMsg& msg, std::uint32_t pkt, bool is_retx) {
   hdr.pkt_num = pkt;
   hdr.pkt_offset = offset;
   hdr.pkt_len = p.payload_bytes;
-  p.header_bytes = cfg_.base_header_bytes;
+  p.header_bytes = kBaseHeaderBytes;
   p.header = std::move(hdr);
 
   msg.state[pkt] = static_cast<std::uint8_t>((msg.state[pkt] & ~3u) | 1u |
@@ -179,10 +194,10 @@ void HomaEndpoint::rtt_sample(sim::SimTime sample) {
 }
 
 sim::SimTime HomaEndpoint::rto(const OutMsg& msg) const {
-  sim::SimTime r = rtt_valid_ ? srtt_ * 2 + rttvar_ * 4 : cfg_.min_rto.scaled(5.0);
+  sim::SimTime r = rtt_valid_ ? srtt_ * 2 + rttvar_ * 4 : kMinRto.scaled(5.0);
   r = r.scaled(msg.backoff);
-  r = std::max(r, cfg_.min_rto);
-  r = std::min(r, cfg_.max_rto);
+  r = std::max(r, kMinRto);
+  r = std::min(r, kMaxRto);
   return r;
 }
 
@@ -272,7 +287,7 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     msg.total_bytes = static_cast<std::int64_t>(hdr.msg_len_bytes);
     msg.have.assign(msg.total_pkts, false);
     // The sender's unscheduled window is implicitly granted.
-    msg.granted = std::min<std::int64_t>(msg.total_bytes, cfg_.rtt_bytes);
+    msg.granted = std::min<std::int64_t>(msg.total_bytes, kRttBytes);
     msg.tc = hdr.tc;
     msg.src_port = hdr.src_port;
     msg.dst_port = hdr.dst_port;
@@ -302,7 +317,7 @@ void HomaEndpoint::on_data(net::Packet&& pkt) {
     incoming_.erase(it);  // msg is dangling beyond this point
     completed_.insert(key);
     completed_fifo_.push_back(key);
-    while (completed_fifo_.size() > cfg_.completed_cache) {
+    while (completed_fifo_.size() > kCompletedCache) {
       completed_.erase(completed_fifo_.front());
       completed_fifo_.pop_front();
     }
@@ -337,7 +352,7 @@ void HomaEndpoint::emit_ack(const net::Packet& data) {
   hdr.msg_len_pkts = dh.msg_len_pkts;
   hdr.pkt_num = dh.pkt_num;
   hdr.sack().push_back({dh.msg_id, dh.pkt_num});
-  p.header_bytes = cfg_.base_header_bytes +
+  p.header_bytes = kBaseHeaderBytes +
                    static_cast<std::uint32_t>(hdr.sack().size() * 12);
   p.header = std::move(hdr);
   ++acks_sent_;
@@ -345,20 +360,20 @@ void HomaEndpoint::emit_ack(const net::Packet& data) {
 }
 
 void HomaEndpoint::issue_grants() {
-  // Walk the SRPT order: the top `overcommit` incomplete messages each get
-  // one rtt_bytes of lookahead past what has arrived, at a priority level
+  // Walk the SRPT order: the top kOvercommit incomplete messages each get
+  // kRttBytes of lookahead past what has arrived, at a priority level
   // that falls with SRPT rank (rank 0 = highest scheduled level).
   int rank = 0;
-  for (auto it = active_.begin(); it != active_.end() && rank < cfg_.overcommit;
+  for (auto it = active_.begin(); it != active_.end() && rank < kOvercommit;
        ++it, ++rank) {
     const MsgKey key{std::get<1>(*it), std::get<2>(*it)};
     auto mi = incoming_.find(key);
     if (mi == incoming_.end()) continue;
     InMsg& msg = mi->second;
     const std::int64_t desired =
-        std::min(msg.total_bytes, msg.received_bytes + cfg_.rtt_bytes);
+        std::min(msg.total_bytes, msg.received_bytes + kRttBytes);
     if (desired <= msg.granted) continue;
-    const int prio = std::max(0, static_cast<int>(cfg_.sched_priorities) - 1 - rank);
+    const int prio = std::max(0, static_cast<int>(kSchedPriorities) - 1 - rank);
     msg.granted = desired;
     send_grant(key, msg, desired, static_cast<std::uint8_t>(prio));
   }
@@ -386,7 +401,7 @@ void HomaEndpoint::send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset
   hdr.msg_len_bytes = static_cast<std::uint64_t>(msg.total_bytes);
   hdr.msg_len_pkts = msg.total_pkts;
   hdr.overload.ensure().grant_bytes = static_cast<std::uint64_t>(offset);
-  p.header_bytes = cfg_.base_header_bytes;
+  p.header_bytes = kBaseHeaderBytes;
   p.header = std::move(hdr);
   ++grants_issued_;
   host_.send(std::move(p));

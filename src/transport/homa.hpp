@@ -2,13 +2,14 @@
 // the "replace TCP in the datacenter" bar the paper's evaluation must clear).
 //
 // Mechanisms modelled:
-//   - Unscheduled first window: a sender blasts the first rtt_bytes of every
-//     message immediately at the highest priority — short messages complete
-//     in one RTT with no handshake and no grant round-trip.
+//   - Unscheduled first window: a sender blasts the first kRttBytes (25 KB,
+//     one bandwidth-delay product) of every message immediately at the
+//     highest priority — short messages complete in one RTT with no
+//     handshake and no grant round-trip.
 //   - Receiver-issued grants: bytes beyond the unscheduled window are sent
 //     only when the receiver grants them. The receiver keeps its active
 //     messages in SRPT order (fewest remaining bytes first) and grants the
-//     top `overcommit` messages one rtt_bytes of lookahead each, so the
+//     top kOvercommit (2) messages kRttBytes of lookahead each, so the
 //     downlink stays busy while the schedule still favors short messages.
 //   - Priority remapping: unscheduled packets ride the top priority level;
 //     granted packets carry the priority the receiver assigned by SRPT rank,
@@ -20,6 +21,9 @@
 // switch-side message visibility for free. A HomaEndpoint claims the host's
 // MTP protocol handler; a scenario runs either MTP or Homa on a host, never
 // both.
+//
+// The protocol constants (kMss, kRttBytes, kOvercommit, the priority split,
+// RTO bounds) live in homa.cpp: every scenario runs the same Homa.
 #pragma once
 
 #include <cstdint>
@@ -39,24 +43,6 @@
 
 namespace mtp::transport {
 
-struct HomaConfig {
-  std::uint32_t mss = 1000;             ///< payload bytes per packet
-  std::uint32_t base_header_bytes = 40; ///< accounted fixed header overhead
-  /// Unscheduled window and per-grant lookahead: roughly one
-  /// bandwidth-delay product (25 KB ~ 100G x 2us RTT).
-  std::int64_t rtt_bytes = 25'000;
-  /// Messages granted concurrently (Homa's overcommitment degree): keeps the
-  /// downlink busy when the top choice's sender stalls.
-  int overcommit = 2;
-  std::uint8_t unscheduled_priority = 7;  ///< highest level, short messages
-  std::uint8_t sched_priorities = 4;      ///< scheduled levels 0..n-1 by SRPT rank
-  sim::SimTime min_rto = sim::SimTime::microseconds(200);
-  sim::SimTime max_rto = sim::SimTime::milliseconds(5);
-
-  /// Completed-message tombstones kept to re-ACK duplicate retransmissions.
-  std::size_t completed_cache = 1 << 14;
-};
-
 /// Per-message submission metadata (mirrors core::MessageOptions' subset the
 /// receiver-driven protocol uses).
 struct HomaOptions {
@@ -72,7 +58,7 @@ class HomaEndpoint {
   using MessageHandler = std::function<void(net::NodeId src, std::int64_t bytes)>;
   using DoneFn = std::function<void(proto::MsgId, sim::SimTime fct)>;
 
-  HomaEndpoint(net::Host& host, HomaConfig cfg);
+  explicit HomaEndpoint(net::Host& host);
   ~HomaEndpoint();
   HomaEndpoint(const HomaEndpoint&) = delete;
   HomaEndpoint& operator=(const HomaEndpoint&) = delete;
@@ -93,7 +79,6 @@ class HomaEndpoint {
   std::uint64_t checksum_drops() const { return checksum_drops_; }
   std::size_t outstanding_messages() const { return outgoing_.size(); }
   sim::SimTime srtt() const { return srtt_; }
-  const HomaConfig& config() const { return cfg_; }
   net::Host& host() { return host_; }
 
  private:
@@ -159,7 +144,7 @@ class HomaEndpoint {
   void emit_ack(const net::Packet& data);
   void send_grant(const MsgKey& key, InMsg& msg, std::int64_t offset,
                   std::uint8_t prio);
-  /// Re-rank the active set and extend grants for the top `overcommit`.
+  /// Re-rank the active set and extend grants for the top kOvercommit.
   void issue_grants();
   void arm_retx(OutMsg& msg, sim::SimTime deadline);
   void on_retx_timer(proto::MsgId id);
@@ -168,7 +153,6 @@ class HomaEndpoint {
   sim::SimTime rto(const OutMsg& msg) const;
 
   net::Host& host_;
-  HomaConfig cfg_;
   sim::Simulator& sim_;
 
   // --- Sender.

@@ -5,22 +5,31 @@
 
 namespace mtp::transport {
 
+namespace {
+constexpr int kSubflows = 4;
+// Scheduler granularity: bytes handed to one subflow per round-robin turn.
+constexpr std::int64_t kChunkBytes = 16'000;
+// Post-RTO penalty: how long a timed-out subflow is skipped while an
+// unpenalized alternative exists.
+constexpr sim::SimTime kPenalty = sim::SimTime::milliseconds(1);
+// Respawn budget when every subflow has aborted with bytes still owed.
+constexpr int kMaxRespawns = 4;
+}  // namespace
+
 MptcpSession::MptcpSession(TcpStack& stack, net::NodeId dst,
                            proto::PortNum dst_port, std::int64_t bytes,
-                           MptcpConfig cfg, DoneFn done)
+                           DoneFn done)
     : stack_(stack),
       dst_(dst),
       dst_port_(dst_port),
-      cfg_(cfg),
       sim_(stack.host().simulator()),
       total_bytes_(bytes),
       remaining_(bytes),
       started_at(stack.host().simulator().now()),
       done_(std::move(done)) {
   assert(bytes > 0 && "empty messages are not a thing");
-  const int n = std::max(1, cfg_.subflows);
-  subs_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) open_subflow();
+  subs_.reserve(kSubflows);
+  for (int i = 0; i < kSubflows; ++i) open_subflow();
 }
 
 MptcpSession::~MptcpSession() { sim_.timers().cancel(penalty_timer_); }
@@ -50,7 +59,7 @@ void MptcpSession::wire(std::size_t idx) {
     check_delivered();
   };
   conn.on_timeout = [this, idx] {
-    subs_[idx].penalized_until = sim_.now() + cfg_.penalty;
+    subs_[idx].penalized_until = sim_.now() + kPenalty;
   };
   conn.ca_increase = [this, idx](std::int64_t acked) {
     return lia_increase(idx, acked);
@@ -64,7 +73,7 @@ void MptcpSession::feed() {
   const sim::SimTime now = sim_.now();
   auto eligible = [&](const Subflow& sf) {
     return sf.established && !sf.closed &&
-           sf.conn->send_buffer_bytes() < cfg_.chunk_bytes;
+           sf.conn->send_buffer_bytes() < kChunkBytes;
   };
   bool skipped_penalized = false;
   sim::SimTime earliest_penalty;
@@ -93,7 +102,7 @@ void MptcpSession::feed() {
           continue;
         }
       }
-      const std::int64_t chunk = std::min(cfg_.chunk_bytes, remaining_);
+      const std::int64_t chunk = std::min(kChunkBytes, remaining_);
       sf.conn->send(chunk);
       sf.assigned += chunk;
       remaining_ -= chunk;
@@ -156,7 +165,7 @@ void MptcpSession::on_subflow_closed(std::size_t idx) {
     }
   }
   if (!any_open) {
-    if (!closing_ && remaining_ > 0 && respawns_ < cfg_.max_respawns) {
+    if (!closing_ && remaining_ > 0 && respawns_ < kMaxRespawns) {
       // Every path died mid-message: try again on a fresh subflow (fresh
       // ephemeral port, likely a different ECMP path).
       ++respawns_;

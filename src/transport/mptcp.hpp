@@ -1,9 +1,10 @@
 // Subflow-based MPTCP model (RFC 8684 shape, Linked-Increases coupling).
 //
-// One MptcpSession carries one message over N concurrent TCP subflows opened
-// to the same destination. Each subflow is a full TcpConnection — its own
-// cwnd, RTO, SACK scoreboard — connected from a distinct ephemeral port, so
-// ECMP hashing spreads the subflows across the fabric's parallel paths.
+// One MptcpSession carries one message over kSubflows (4) concurrent TCP
+// subflows opened to the same destination. Each subflow is a full
+// TcpConnection — its own cwnd, RTO, SACK scoreboard — connected from a
+// distinct ephemeral port, so ECMP hashing spreads the subflows across the
+// fabric's parallel paths.
 //
 // Coupling (RFC 6356 Linked Increases): congestion-avoidance growth on
 // subflow i is min(alpha * mss * acked / total_cwnd, mss * acked / w_i) with
@@ -12,14 +13,15 @@
 // capacity shifts away from congested subflows. Slow start and loss response
 // stay per-subflow (the hooks touch only the CA increment).
 //
-// Scheduling: round-robin in chunk_bytes units over established subflows
-// with room in their send buffer, skipping subflows inside a post-RTO
-// penalty window when an unpenalized alternative exists (the classic
-// penalizing scheduler that keeps a path-flap from head-of-line-blocking the
-// message). A subflow that dies (TCP's consecutive-timeout abort) returns
-// its undelivered bytes to the pool for the survivors; if every subflow is
-// gone with bytes still owed, the session respawns a subflow a bounded
-// number of times before giving up.
+// Scheduling: round-robin in kChunkBytes (16 KB) units over established
+// subflows with room in their send buffer, skipping subflows inside a
+// post-RTO penalty window (kPenalty, 1 ms) when an unpenalized alternative
+// exists (the classic penalizing scheduler that keeps a path-flap from
+// head-of-line-blocking the message). A subflow that dies (TCP's
+// consecutive-timeout abort) returns its undelivered bytes to the pool for
+// the survivors; if every subflow is gone with bytes still owed, the session
+// respawns a subflow up to kMaxRespawns (4) times before giving up. The
+// constants live in mptcp.cpp: every scenario runs the same MPTCP.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +34,6 @@
 
 namespace mtp::transport {
 
-struct MptcpConfig {
-  int subflows = 4;
-  /// Scheduler granularity: bytes handed to one subflow per round-robin turn.
-  std::int64_t chunk_bytes = 16'000;
-  /// Post-RTO penalty: how long a timed-out subflow is skipped while an
-  /// unpenalized alternative exists.
-  sim::SimTime penalty = sim::SimTime::milliseconds(1);
-  /// Respawn budget when every subflow has aborted with bytes still owed.
-  int max_respawns = 4;
-};
-
 /// One message in flight over N coupled subflows. Completion (delivery of
 /// all bytes and close of every subflow, or exhaustion of the respawn
 /// budget) fires `done` exactly once.
@@ -51,7 +42,7 @@ class MptcpSession {
   using DoneFn = std::function<void(sim::SimTime fct, std::int64_t bytes)>;
 
   MptcpSession(TcpStack& stack, net::NodeId dst, proto::PortNum dst_port,
-               std::int64_t bytes, MptcpConfig cfg, DoneFn done);
+               std::int64_t bytes, DoneFn done);
   ~MptcpSession();
   MptcpSession(const MptcpSession&) = delete;
   MptcpSession& operator=(const MptcpSession&) = delete;
@@ -88,7 +79,6 @@ class MptcpSession {
   TcpStack& stack_;
   net::NodeId dst_;
   proto::PortNum dst_port_;
-  MptcpConfig cfg_;
   sim::Simulator& sim_;
   std::vector<Subflow> subs_;
   std::int64_t total_bytes_ = 0;

@@ -1,7 +1,7 @@
 #include "transport/transport.hpp"
 
 #include <algorithm>
-#include <sstream>
+#include <stdexcept>
 
 namespace mtp::transport {
 
@@ -114,9 +114,8 @@ class HomaTransport : public Transport {
 class MptcpTransport : public Transport {
  public:
   MptcpTransport(TcpStack& stack, net::NodeId dst, proto::PortNum dst_port,
-                 MptcpConfig cfg, SendOptions defaults)
-      : Transport(defaults), stack_(stack), dst_(dst), dst_port_(dst_port),
-        cfg_(cfg) {}
+                 SendOptions defaults)
+      : Transport(defaults), stack_(stack), dst_(dst), dst_port_(dst_port) {}
 
   void send_message(std::int64_t bytes, const SendOptions&, DoneFn done) override {
     // Prune only fully-unwound sessions: a closed-loop done callback calls
@@ -125,7 +124,7 @@ class MptcpTransport : public Transport {
     // but not yet reapable().
     std::erase_if(sessions_, [](const auto& s) { return s->reapable(); });
     sessions_.push_back(std::make_unique<MptcpSession>(
-        stack_, dst_, dst_port_, bytes, cfg_,
+        stack_, dst_, dst_port_, bytes,
         [this, done = std::move(done)](sim::SimTime fct,
                                        std::int64_t sent) mutable {
           ++completed_;
@@ -140,245 +139,109 @@ class MptcpTransport : public Transport {
   TcpStack& stack_;
   net::NodeId dst_;
   proto::PortNum dst_port_;
-  MptcpConfig cfg_;
   std::vector<std::unique_ptr<MptcpSession>> sessions_;
   std::uint64_t completed_ = 0;
 };
 
 }  // namespace
 
-// ---------------------------------------------------------------- fleets
+// ----------------------------------------------------------------- fleet
 
-MtpFleet::MtpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg) {
+TransportFleet::TransportFleet(const std::string& name,
+                               const TransportBuildContext& ctx,
+                               const core::MtpConfig& mtp_cfg)
+    : name_(name) {
+  const bool mtp = name == "mtp";
+  const bool homa = name == "homa";
+  if (std::find(kNames.begin(), kNames.end(), name) == kNames.end()) {
+    std::string msg = "unknown transport '" + name + "'; known:";
+    for (std::string_view n : kNames) msg.append(" ").append(n);
+    throw std::invalid_argument(msg);
+  }
   net::Host* rcv = ctx.receiver;
-  for (net::Host* h : ctx.senders) {
-    eps_.push_back(std::make_unique<core::MtpEndpoint>(*h, cfg.mtp));
-    // Peer-to-peer topologies: every endpoint also accepts messages.
-    if (!rcv) eps_.back()->listen(ctx.dst_port, [](const core::ReceivedMessage&) {});
-  }
-  if (!rcv) return;
-  // The receiver runs a plain default config: sender-side knobs (scheduling,
-  // pathlet CC tuning) must not distort the sink.
-  rcv_ = std::make_unique<core::MtpEndpoint>(*rcv, core::MtpConfig{});
-  rcv_->listen(ctx.dst_port, [](const core::ReceivedMessage&) {});
-  if (ctx.meter) {
-    auto* meter = ctx.meter;
-    // The receiver's shard clock: payload deliveries (and so the meter) run
-    // on that shard's worker thread only.
-    auto* sim = &ctx.net->simulator(ctx.net->shard_of(*rcv));
-    rcv_->on_payload = [meter, sim](std::int64_t bytes) {
-      meter->record(sim->now(), bytes);
-    };
-  }
-  for (std::size_t i = 0; i < eps_.size(); ++i) {
-    SendOptions defaults;
-    defaults.tc = ctx.tc_of(i);
-    senders_.push_back(std::make_unique<MtpTransport>(*eps_[i], rcv->id(),
-                                                      ctx.dst_port, defaults));
-  }
-}
-
-std::size_t MtpFleet::num_senders() const { return senders_.size(); }
-Transport& MtpFleet::sender(std::size_t i) { return *senders_.at(i); }
-
-TransportMetrics MtpFleet::metrics() const {
-  TransportMetrics m;
-  for (const auto& t : senders_) m.msgs_completed += t->completed();
-  for (const auto& ep : eps_) {
-    m.pkts_sent += ep->pkts_sent();
-    m.retransmits += ep->pkts_retransmitted();
-  }
-  if (rcv_) m.grants_issued = rcv_->grants_issued();
-  return m;
-}
-
-TcpFleet::TcpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg) {
+  TcpConfig tcp_cfg;
+  tcp_cfg.dctcp = name == "dctcp";
   for (std::size_t i = 0; i < ctx.senders.size(); ++i) {
-    TcpConfig c = cfg.tcp;
-    c.tc = ctx.tc_of(i);
-    stacks_.push_back(std::make_unique<TcpStack>(*ctx.senders[i], c));
-  }
-  net::Host* rcv = ctx.receiver;
-  if (!rcv) return;
-  TcpConfig rcfg = cfg.tcp;
-  rcfg.tc = 0;
-  rcv_ = std::make_unique<TcpStack>(*rcv, rcfg);
-  sink_ = std::make_unique<TcpSink>(*rcv_, ctx.dst_port, ctx.meter);
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    SendOptions defaults;
-    defaults.tc = ctx.tc_of(i);
-    senders_.push_back(std::make_unique<TcpTransport>(*stacks_[i], rcv->id(),
-                                                      ctx.dst_port, defaults));
-  }
-}
-
-std::string TcpFleet::name() const {
-  return !stacks_.empty() && stacks_.front()->config().dctcp ? "dctcp" : "tcp";
-}
-std::size_t TcpFleet::num_senders() const { return senders_.size(); }
-Transport& TcpFleet::sender(std::size_t i) { return *senders_.at(i); }
-
-TransportMetrics TcpFleet::metrics() const {
-  TransportMetrics m;
-  for (const auto& t : senders_) m.msgs_completed += t->completed();
-  for (const auto& s : stacks_) {
-    m.pkts_sent += s->total_pkts_sent();
-    m.retransmits += s->total_retransmits();
-    m.timeouts += s->total_timeouts();
-  }
-  if (rcv_) {
-    m.pkts_sent += rcv_->total_pkts_sent();
-    m.retransmits += rcv_->total_retransmits();
-    m.timeouts += rcv_->total_timeouts();
-  }
-  return m;
-}
-
-HomaFleet::HomaFleet(const TransportBuildContext& ctx, const TransportConfig& cfg) {
-  net::Host* rcv = ctx.receiver;
-  for (net::Host* h : ctx.senders) {
-    eps_.push_back(std::make_unique<HomaEndpoint>(*h, cfg.homa));
-    if (!rcv) eps_.back()->listen(ctx.dst_port, [](net::NodeId, std::int64_t) {});
-  }
-  if (!rcv) return;
-  // Unlike MTP, the receiver shares the transport config: rtt_bytes,
-  // overcommit and the priority split are receiver-side grant policy.
-  rcv_ = std::make_unique<HomaEndpoint>(*rcv, cfg.homa);
-  rcv_->listen(ctx.dst_port, [](net::NodeId, std::int64_t) {});
-  if (ctx.meter) {
-    auto* meter = ctx.meter;
-    auto* sim = &ctx.net->simulator(ctx.net->shard_of(*rcv));
-    rcv_->on_payload = [meter, sim](std::int64_t bytes) {
-      meter->record(sim->now(), bytes);
-    };
-  }
-  for (std::size_t i = 0; i < eps_.size(); ++i) {
-    SendOptions defaults;
-    defaults.tc = ctx.tc_of(i);
-    senders_.push_back(std::make_unique<HomaTransport>(*eps_[i], rcv->id(),
-                                                       ctx.dst_port, defaults));
-  }
-}
-
-std::size_t HomaFleet::num_senders() const { return senders_.size(); }
-Transport& HomaFleet::sender(std::size_t i) { return *senders_.at(i); }
-
-TransportMetrics HomaFleet::metrics() const {
-  TransportMetrics m;
-  for (const auto& t : senders_) m.msgs_completed += t->completed();
-  for (const auto& ep : eps_) {
-    m.pkts_sent += ep->pkts_sent();
-    m.retransmits += ep->pkts_retransmitted();
-  }
-  if (rcv_) m.grants_issued = rcv_->grants_issued();
-  return m;
-}
-
-MptcpFleet::MptcpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg) {
-  for (std::size_t i = 0; i < ctx.senders.size(); ++i) {
-    TcpConfig c = cfg.tcp;
-    c.tc = ctx.tc_of(i);
-    stacks_.push_back(std::make_unique<TcpStack>(*ctx.senders[i], c));
-  }
-  net::Host* rcv = ctx.receiver;
-  if (!rcv) return;
-  TcpConfig rcfg = cfg.tcp;
-  rcfg.tc = 0;
-  rcv_ = std::make_unique<TcpStack>(*rcv, rcfg);
-  sink_ = std::make_unique<TcpSink>(*rcv_, ctx.dst_port, ctx.meter);
-  for (std::size_t i = 0; i < stacks_.size(); ++i) {
-    SendOptions defaults;
-    defaults.tc = ctx.tc_of(i);
-    senders_.push_back(std::make_unique<MptcpTransport>(
-        *stacks_[i], rcv->id(), ctx.dst_port, cfg.mptcp, defaults));
-  }
-}
-
-std::size_t MptcpFleet::num_senders() const { return senders_.size(); }
-Transport& MptcpFleet::sender(std::size_t i) { return *senders_.at(i); }
-
-TransportMetrics MptcpFleet::metrics() const {
-  TransportMetrics m;
-  for (const auto& t : senders_) m.msgs_completed += t->completed();
-  for (const auto& s : stacks_) {
-    m.pkts_sent += s->total_pkts_sent();
-    m.retransmits += s->total_retransmits();
-    m.timeouts += s->total_timeouts();
-  }
-  if (rcv_) {
-    m.pkts_sent += rcv_->total_pkts_sent();
-    m.retransmits += rcv_->total_retransmits();
-    m.timeouts += rcv_->total_timeouts();
-  }
-  return m;
-}
-
-// -------------------------------------------------------------- registry
-
-TransportRegistry& TransportRegistry::global() {
-  static TransportRegistry* reg = [] {
-    auto* r = new TransportRegistry();
-    r->add("mtp", [](const TransportBuildContext& ctx, const TransportConfig& cfg) {
-      return std::make_unique<MtpFleet>(ctx, cfg);
-    });
-    r->add("tcp", [](const TransportBuildContext& ctx, const TransportConfig& cfg) {
-      return std::make_unique<TcpFleet>(ctx, cfg);
-    });
-    r->add("dctcp", [](const TransportBuildContext& ctx, const TransportConfig& cfg) {
-      TransportConfig c = cfg;
-      c.tcp.dctcp = true;
-      return std::make_unique<TcpFleet>(ctx, c);
-    });
-    r->add("homa", [](const TransportBuildContext& ctx, const TransportConfig& cfg) {
-      return std::make_unique<HomaFleet>(ctx, cfg);
-    });
-    r->add("mptcp", [](const TransportBuildContext& ctx, const TransportConfig& cfg) {
-      return std::make_unique<MptcpFleet>(ctx, cfg);
-    });
-    return r;
-  }();
-  return *reg;
-}
-
-void TransportRegistry::add(std::string name, Factory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [n, f] : factories_) {
-    if (n == name) {
-      f = std::move(factory);  // re-registration replaces
-      return;
+    net::Host& h = *ctx.senders[i];
+    // Peer-to-peer topologies: every message endpoint also accepts messages.
+    if (mtp) {
+      mtp_.push_back(std::make_unique<core::MtpEndpoint>(h, mtp_cfg));
+      if (!rcv) mtp_.back()->listen(ctx.dst_port, [](const core::ReceivedMessage&) {});
+    } else if (homa) {
+      homa_.push_back(std::make_unique<HomaEndpoint>(h));
+      if (!rcv) homa_.back()->listen(ctx.dst_port, [](net::NodeId, std::int64_t) {});
+    } else {
+      TcpConfig c = tcp_cfg;
+      c.tc = ctx.tc_of(i);
+      tcp_.push_back(std::make_unique<TcpStack>(h, c));
     }
   }
-  factories_.emplace_back(std::move(name), std::move(factory));
-}
+  if (!rcv) return;
 
-std::vector<std::string> TransportRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, f] : factories_) out.push_back(n);
-  return out;
-}
+  // The receiver's shard clock: payload deliveries (and so the meter) run
+  // on that shard's worker thread only.
+  auto* sim = &ctx.net->simulator(ctx.net->shard_of(*rcv));
+  auto* meter = ctx.meter;
+  auto record = [meter, sim](std::int64_t bytes) { meter->record(sim->now(), bytes); };
+  if (mtp) {
+    // The receiver runs a plain default config: sender-side knobs
+    // (scheduling, pathlet CC tuning) must not distort the sink.
+    mtp_rcv_ = std::make_unique<core::MtpEndpoint>(*rcv, core::MtpConfig{});
+    mtp_rcv_->listen(ctx.dst_port, [](const core::ReceivedMessage&) {});
+    if (meter) mtp_rcv_->on_payload = record;
+  } else if (homa) {
+    homa_rcv_ = std::make_unique<HomaEndpoint>(*rcv);
+    homa_rcv_->listen(ctx.dst_port, [](net::NodeId, std::int64_t) {});
+    if (meter) homa_rcv_->on_payload = record;
+  } else {
+    tcp_rcv_ = std::make_unique<TcpStack>(*rcv, tcp_cfg);
+    sink_ = std::make_unique<TcpSink>(*tcp_rcv_, ctx.dst_port, meter);
+  }
 
-std::unique_ptr<TransportFleet> TransportRegistry::build(
-    const std::string& name, const TransportBuildContext& ctx,
-    const TransportConfig& cfg) const {
-  Factory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [n, f] : factories_) {
-      if (n == name) {
-        factory = f;
-        break;
-      }
+  for (std::size_t i = 0; i < ctx.senders.size(); ++i) {
+    SendOptions defaults;
+    defaults.tc = ctx.tc_of(i);
+    const net::NodeId dst = rcv->id();
+    if (mtp) {
+      senders_.push_back(
+          std::make_unique<MtpTransport>(*mtp_[i], dst, ctx.dst_port, defaults));
+    } else if (homa) {
+      senders_.push_back(
+          std::make_unique<HomaTransport>(*homa_[i], dst, ctx.dst_port, defaults));
+    } else if (name == "mptcp") {
+      senders_.push_back(
+          std::make_unique<MptcpTransport>(*tcp_[i], dst, ctx.dst_port, defaults));
+    } else {
+      senders_.push_back(
+          std::make_unique<TcpTransport>(*tcp_[i], dst, ctx.dst_port, defaults));
     }
   }
-  if (!factory) {
-    std::ostringstream msg;
-    msg << "unknown transport '" << name << "'; registered:";
-    for (const auto& n : names()) msg << " " << n;
-    throw std::invalid_argument(msg.str());
-  }
-  return factory(ctx, cfg);
+}
+
+TransportMetrics TransportFleet::metrics() const {
+  TransportMetrics m;
+  for (const auto& t : senders_) m.msgs_completed += t->completed();
+  // Message transports count sender-side packets; grants come from the
+  // receiver.
+  auto add_senders = [&m](const auto& eps) {
+    for (const auto& ep : eps) {
+      m.pkts_sent += ep->pkts_sent();
+      m.retransmits += ep->pkts_retransmitted();
+    }
+  };
+  add_senders(mtp_);
+  add_senders(homa_);
+  if (mtp_rcv_) m.grants_issued += mtp_rcv_->grants_issued();
+  if (homa_rcv_) m.grants_issued += homa_rcv_->grants_issued();
+  // TCP counts both directions: the receiver's ACKs are segments too.
+  auto add_stack = [&m](const TcpStack& s) {
+    m.pkts_sent += s.total_pkts_sent();
+    m.retransmits += s.total_retransmits();
+    m.timeouts += s.total_timeouts();
+  };
+  for (const auto& s : tcp_) add_stack(*s);
+  if (tcp_rcv_) add_stack(*tcp_rcv_);
+  return m;
 }
 
 }  // namespace mtp::transport

@@ -2,31 +2,30 @@
 //
 // Every transport the scenarios compare — MTP, (DC)TCP, the Homa-style
 // receiver-driven transport, the MPTCP subflow model — is reached through
-// the same three types:
+// the same two types:
 //
 //   Transport       one sender endpoint: send_message(bytes, opts, done),
 //                   send_bulk(), completed(), name(). SendOptions carries
 //                   the per-message knobs (priority / tc / deadline) that
 //                   the old MessageSender shim could not express.
-//   TransportFleet  everything one scenario needs for one transport: the
-//                   per-sender Transport objects plus the receiver-side
-//                   state (sink endpoint/stack, grant machinery), built in
-//                   one deterministic order, and a metrics() roll-up.
-//   TransportRegistry  string-keyed factory ("mtp", "tcp", "dctcp", "homa",
-//                   "mptcp"): ScenarioBuilder::transport("homa") resolves
-//                   here, and unknown names fail listing what is registered.
+//   TransportFleet  everything one scenario needs for one transport, built
+//                   by name ("mtp", "tcp", "dctcp", "homa", "mptcp"; an
+//                   unknown name throws listing them): the per-sender
+//                   Transport objects plus the receiver-side state (sink
+//                   endpoint/stack, grant machinery), built in one
+//                   deterministic order, and a metrics() roll-up.
 //
-// Fleets also expose their concrete endpoints (MtpFleet::sender_endpoint,
-// TcpFleet::sender_stack, ...) for scenarios that must reach under the
-// abstraction — streams ride MTP endpoints, fig7 drives raw TCP stacks.
+// The fleet also exposes its concrete endpoints (mtp_sender, tcp_sender,
+// ...) for scenarios that must reach under the abstraction — streams ride
+// MTP endpoints, fig7 drives raw TCP stacks.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mtp/endpoint.hpp"
@@ -48,7 +47,7 @@ struct SendOptions {
   sim::SimTime deadline;  ///< absolute sim time; 0 = none
 };
 
-/// Uniform counter roll-up every fleet reports (RunReport columns).
+/// Uniform counter roll-up the fleet reports (RunReport columns).
 struct TransportMetrics {
   std::uint64_t msgs_completed = 0;
   std::uint64_t pkts_sent = 0;
@@ -103,18 +102,8 @@ class Transport {
   SendOptions defaults_;
 };
 
-/// Everything a scenario holds for its chosen transport.
-class TransportFleet {
- public:
-  virtual ~TransportFleet() = default;
-  virtual std::string name() const = 0;
-  virtual std::size_t num_senders() const = 0;
-  virtual Transport& sender(std::size_t i) = 0;
-  virtual TransportMetrics metrics() const = 0;
-};
-
-/// What a factory gets to build a fleet from: the built topology plus the
-/// scenario's addressing and metering choices.
+/// What the fleet is built from: the built topology plus the scenario's
+/// addressing and metering choices.
 struct TransportBuildContext {
   net::Network* net = nullptr;
   std::vector<net::Host*> senders;
@@ -128,104 +117,45 @@ struct TransportBuildContext {
   }
 };
 
-/// Per-transport configuration, one struct per transport so a scenario can
-/// tune any of them before choosing one by name. MPTCP's subflows use `tcp`
-/// as their per-subflow base config.
-struct TransportConfig {
-  core::MtpConfig mtp;
-  TcpConfig tcp;
-  HomaConfig homa;
-  MptcpConfig mptcp;
-};
-
-/// String-keyed factory registry. `global()` arrives pre-loaded with the
-/// built-in transports; tests may add their own.
-class TransportRegistry {
+/// Everything a scenario holds for its chosen transport. The per-family
+/// members of the other families stay empty, so metrics() is one sum and
+/// the concrete accessors are plain getters (null when not this family).
+class TransportFleet {
  public:
-  using Factory = std::function<std::unique_ptr<TransportFleet>(
-      const TransportBuildContext&, const TransportConfig&)>;
+  static constexpr std::array<std::string_view, 5> kNames = {
+      "mtp", "tcp", "dctcp", "homa", "mptcp"};
 
-  static TransportRegistry& global();
+  /// Builds sender endpoints/stacks in sender order, then the receiver, then
+  /// the sink, then the Transport adapters — that order fixes the metric
+  /// registry order and so the RunReport bytes. `mtp_cfg` configures the
+  /// MTP senders only; every other family runs its defaults. Throws
+  /// std::invalid_argument listing kNames when `name` is not one of them.
+  TransportFleet(const std::string& name, const TransportBuildContext& ctx,
+                 const core::MtpConfig& mtp_cfg);
 
-  void add(std::string name, Factory factory);
-  std::vector<std::string> names() const;
+  const std::string& name() const { return name_; }
+  std::size_t num_senders() const { return senders_.size(); }
+  Transport& sender(std::size_t i) { return *senders_.at(i); }
+  TransportMetrics metrics() const;
 
-  /// Throws std::invalid_argument naming the registered transports when
-  /// `name` is unknown.
-  std::unique_ptr<TransportFleet> build(const std::string& name,
-                                        const TransportBuildContext& ctx,
-                                        const TransportConfig& cfg) const;
+  core::MtpEndpoint* mtp_sender(std::size_t i) {
+    return i < mtp_.size() ? mtp_[i].get() : nullptr;
+  }
+  core::MtpEndpoint* mtp_receiver() { return mtp_rcv_.get(); }
+  /// tcp, dctcp and mptcp (whose subflows ride these stacks).
+  TcpStack* tcp_sender(std::size_t i) {
+    return i < tcp_.size() ? tcp_[i].get() : nullptr;
+  }
+  TcpStack* tcp_receiver() { return tcp_rcv_.get(); }
 
  private:
-  mutable std::mutex mu_;  ///< ParallelSweep builds scenarios on worker threads
-  std::vector<std::pair<std::string, Factory>> factories_;
-};
-
-// ---------------------------------------------------------------------------
-// Concrete fleets, exposed so scenarios can reach the protocol-specific
-// machinery beneath the uniform API (dynamic_cast from TransportFleet).
-
-class MtpFleet : public TransportFleet {
- public:
-  MtpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg);
-  std::string name() const override { return "mtp"; }
-  std::size_t num_senders() const override;
-  Transport& sender(std::size_t i) override;
-  TransportMetrics metrics() const override;
-
-  core::MtpEndpoint& sender_endpoint(std::size_t i) { return *eps_[i]; }
-  core::MtpEndpoint* receiver_endpoint() { return rcv_.get(); }
-
- private:
-  std::vector<std::unique_ptr<core::MtpEndpoint>> eps_;
-  std::unique_ptr<core::MtpEndpoint> rcv_;
-  std::vector<std::unique_ptr<Transport>> senders_;
-};
-
-class TcpFleet : public TransportFleet {
- public:
-  TcpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg);
-  std::string name() const override;
-  std::size_t num_senders() const override;
-  Transport& sender(std::size_t i) override;
-  TransportMetrics metrics() const override;
-
-  TcpStack& sender_stack(std::size_t i) { return *stacks_[i]; }
-  TcpStack* receiver_stack() { return rcv_.get(); }
-  TcpSink* sink() { return sink_.get(); }
-
- private:
-  std::vector<std::unique_ptr<TcpStack>> stacks_;
-  std::unique_ptr<TcpStack> rcv_;
-  std::unique_ptr<TcpSink> sink_;
-  std::vector<std::unique_ptr<Transport>> senders_;
-};
-
-class HomaFleet : public TransportFleet {
- public:
-  HomaFleet(const TransportBuildContext& ctx, const TransportConfig& cfg);
-  std::string name() const override { return "homa"; }
-  std::size_t num_senders() const override;
-  Transport& sender(std::size_t i) override;
-  TransportMetrics metrics() const override;
-
- private:
-  std::vector<std::unique_ptr<HomaEndpoint>> eps_;
-  std::unique_ptr<HomaEndpoint> rcv_;
-  std::vector<std::unique_ptr<Transport>> senders_;
-};
-
-class MptcpFleet : public TransportFleet {
- public:
-  MptcpFleet(const TransportBuildContext& ctx, const TransportConfig& cfg);
-  std::string name() const override { return "mptcp"; }
-  std::size_t num_senders() const override;
-  Transport& sender(std::size_t i) override;
-  TransportMetrics metrics() const override;
-
- private:
-  std::vector<std::unique_ptr<TcpStack>> stacks_;
-  std::unique_ptr<TcpStack> rcv_;
+  std::string name_;
+  std::vector<std::unique_ptr<core::MtpEndpoint>> mtp_;
+  std::unique_ptr<core::MtpEndpoint> mtp_rcv_;
+  std::vector<std::unique_ptr<HomaEndpoint>> homa_;
+  std::unique_ptr<HomaEndpoint> homa_rcv_;
+  std::vector<std::unique_ptr<TcpStack>> tcp_;
+  std::unique_ptr<TcpStack> tcp_rcv_;
   std::unique_ptr<TcpSink> sink_;
   std::vector<std::unique_ptr<Transport>> senders_;
 };

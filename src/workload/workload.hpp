@@ -86,56 +86,6 @@ class SizeDist {
   Variant dist_;
 };
 
-/// Open-loop Poisson message generator: draws exponential inter-arrival
-/// times targeting `offered_load` of `capacity`, samples a size, and calls
-/// `send(bytes)`. Stop by destroying or calling stop().
-class PoissonGenerator {
- public:
-  using SendFn = std::function<void(std::int64_t bytes)>;
-
-  PoissonGenerator(sim::Simulator& simulator, sim::Rng& rng, SizeDist sizes,
-                   sim::Bandwidth capacity, double offered_load, SendFn send)
-      : sim_(simulator),
-        rng_(rng),
-        sizes_(std::move(sizes)),
-        send_(std::move(send)) {
-    const double bytes_per_sec =
-        static_cast<double>(capacity.bits_per_sec()) / 8.0 * offered_load;
-    mean_interarrival_ = sim::SimTime::from_seconds(sizes_.mean() / bytes_per_sec);
-  }
-
-  void start() {
-    stopped_ = false;
-    schedule_next();
-  }
-  void stop() {
-    stopped_ = true;
-    sim_.cancel(next_);
-  }
-
-  std::uint64_t messages_sent() const { return sent_; }
-  sim::SimTime mean_interarrival() const { return mean_interarrival_; }
-
- private:
-  void schedule_next() {
-    next_ = sim_.schedule(rng_.exponential_time(mean_interarrival_), [this] {
-      if (stopped_) return;
-      ++sent_;
-      send_(sizes_.sample(rng_));
-      schedule_next();
-    });
-  }
-
-  sim::Simulator& sim_;
-  sim::Rng& rng_;
-  SizeDist sizes_;
-  SendFn send_;
-  sim::SimTime mean_interarrival_;
-  sim::EventId next_;
-  bool stopped_ = true;
-  std::uint64_t sent_ = 0;
-};
-
 /// Precomputed open-loop arrival schedule, replayed by KeyedReplay. Benches
 /// used to park one scheduled event per message upfront — at 100k+
 /// concurrent messages that is 100k live heap slots and closures before the
@@ -267,38 +217,6 @@ class KeyedReplay {
   std::vector<std::size_t> picks_;  ///< global schedule indices, ascending
   std::size_t cursor_ = 0;
   SendFn send_;
-};
-
-/// Closed-loop generator: keeps exactly `concurrency` messages outstanding;
-/// the owner must call on_complete() when one finishes.
-class ClosedLoopGenerator {
- public:
-  using SendFn = std::function<void(std::int64_t bytes)>;
-
-  ClosedLoopGenerator(sim::Rng& rng, SizeDist sizes, std::size_t concurrency, SendFn send)
-      : rng_(rng), sizes_(std::move(sizes)), concurrency_(concurrency), send_(std::move(send)) {}
-
-  void start() {
-    for (std::size_t i = 0; i < concurrency_; ++i) launch();
-  }
-  void on_complete() {
-    if (!stopped_) launch();
-  }
-  void stop() { stopped_ = true; }
-  std::uint64_t messages_sent() const { return sent_; }
-
- private:
-  void launch() {
-    ++sent_;
-    send_(sizes_.sample(rng_));
-  }
-
-  sim::Rng& rng_;
-  SizeDist sizes_;
-  std::size_t concurrency_;
-  SendFn send_;
-  bool stopped_ = false;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace mtp::workload

@@ -130,17 +130,6 @@ TEST(FctRecorder, TracksBytesAlongsideTimes) {
   EXPECT_EQ(r.total_bytes(), 350);
 }
 
-TEST(TimeSeries, TracksMaxAndFinal) {
-  TimeSeries ts;
-  EXPECT_TRUE(ts.empty());
-  ts.record(1_us, 5);
-  ts.record(2_us, 9);
-  ts.record(3_us, 2);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 9);
-  EXPECT_DOUBLE_EQ(ts.final_value(), 2);
-  EXPECT_EQ(ts.points().size(), 3u);
-}
-
 TEST(TablePrinting, AlignsColumns) {
   Table t({"a", "long-header"});
   t.add_row({"x", "1"});
@@ -188,91 +177,6 @@ TEST(SizeDist, EmpiricalSampler) {
   }
   EXPECT_NEAR(d.mean(), 1500.0, 1e-9);
 }
-
-TEST(PoissonGenerator, HitsTargetLoad) {
-  sim::Simulator simulator;
-  sim::Rng rng(4);
-  std::int64_t sent_bytes = 0;
-  PoissonGenerator gen(simulator, rng, SizeDist::fixed(10'000),
-                       sim::Bandwidth::gbps(10), 0.5,
-                       [&](std::int64_t b) { sent_bytes += b; });
-  gen.start();
-  simulator.run(10_ms);
-  gen.stop();
-  // 50% of 10G over 10ms = 6.25 MB; Poisson noise within ~10%.
-  EXPECT_NEAR(static_cast<double>(sent_bytes), 6.25e6, 0.8e6);
-  EXPECT_GT(gen.messages_sent(), 500u);
-}
-
-TEST(PoissonGenerator, StopHaltsArrivals) {
-  sim::Simulator simulator;
-  sim::Rng rng(5);
-  int n = 0;
-  PoissonGenerator gen(simulator, rng, SizeDist::fixed(1000), sim::Bandwidth::gbps(10),
-                       0.5, [&](std::int64_t) { ++n; });
-  gen.start();
-  simulator.run(100_us);
-  gen.stop();
-  const int at_stop = n;
-  simulator.run(1_ms);
-  EXPECT_EQ(n, at_stop);
-}
-
-TEST(ClosedLoopGenerator, MaintainsConcurrency) {
-  sim::Rng rng(6);
-  int outstanding = 0, peak = 0, sent = 0;
-  ClosedLoopGenerator gen(rng, SizeDist::fixed(1000), 4, [&](std::int64_t) {
-    ++outstanding;
-    ++sent;
-    peak = std::max(peak, outstanding);
-  });
-  gen.start();
-  EXPECT_EQ(sent, 4);
-  for (int i = 0; i < 10; ++i) {
-    --outstanding;
-    gen.on_complete();
-  }
-  EXPECT_EQ(sent, 14);
-  EXPECT_EQ(peak, 4);
-  gen.stop();
-  --outstanding;
-  gen.on_complete();
-  EXPECT_EQ(sent, 14);
-}
-
-}  // namespace
-}  // namespace mtp::workload
-
-namespace mtp::stats {
-namespace {
-
-TEST(LogHistogram, QuantilesWithinBucketResolution) {
-  LogHistogram h(1.08);
-  for (int i = 1; i <= 10000; ++i) h.record(static_cast<double>(i));
-  EXPECT_EQ(h.count(), 10000u);
-  EXPECT_NEAR(h.quantile(0.5), 5000, 5000 * 0.09);
-  EXPECT_NEAR(h.quantile(0.99), 9900, 9900 * 0.09);
-  EXPECT_NEAR(h.mean(), 5000.5, 1.0);
-  EXPECT_DOUBLE_EQ(h.max_value(), 10000);
-  EXPECT_DOUBLE_EQ(h.min_value(), 1);
-}
-
-TEST(LogHistogram, HandlesZeroAndRejectsBadArgs) {
-  EXPECT_THROW(LogHistogram(1.0), std::invalid_argument);
-  LogHistogram h;
-  EXPECT_THROW(h.quantile(0.5), std::invalid_argument);
-  h.record(0);
-  h.record(100);
-  EXPECT_THROW(h.quantile(1.5), std::invalid_argument);
-  EXPECT_DOUBLE_EQ(h.quantile(0.25), 0.0);  // the zero sample's bucket
-  EXPECT_GE(h.quantile(1.0), 100.0);
-}
-
-}  // namespace
-}  // namespace mtp::stats
-
-namespace mtp::workload {
-namespace {
 
 TEST(SizeDistPresets, WebSearchShape) {
   sim::Rng rng(8);

@@ -1,8 +1,8 @@
 // Transport conformance battery.
 //
-// Every transport in transport::TransportRegistry — MTP, TCP, DCTCP, the
-// Homa-style receiver-driven transport and the MPTCP subflow model — must
-// honor the same contract behind the transport::Transport API:
+// Every transport transport::TransportFleet builds by name — MTP, TCP,
+// DCTCP, the Homa-style receiver-driven transport and the MPTCP subflow
+// model — must honor the same contract behind the transport::Transport API:
 //
 //   1. exactly-once completion: every submitted message fires its done
 //      callback exactly once (aborts count, like TCP's per-message client);
@@ -11,14 +11,15 @@
 //   3. liveness under faults: a mid-run link flap delays but never loses
 //      completions;
 //   4. shard invariance: the (fct, bytes) completion multiset is identical
-//      at 1, 2 and 4 space shards.
-//
-// The suite is parameterized by registry name, so a transport added by a
-// downstream test automatically gets no coverage here — but the registry
-// tests at the bottom show how to plug one in.
+//      at 1, 2 and 4 space shards;
+//   5. the fleet seam: on a fixed schedule with a flap, metrics() and the
+//      concrete accessors give pinned per-transport answers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -157,12 +158,55 @@ TEST_P(TransportConformance, FctDigestInvariantAcrossShardCounts) {
   }
 }
 
+struct SeamExpectation {
+  std::string_view name;
+  transport::TransportMetrics metrics;
+  bool mtp_endpoints;  ///< mtp_sender / mtp_receiver non-null
+  bool tcp_stacks;     ///< tcp_sender / tcp_receiver non-null
+};
+
+// Recorded on the schedule below. A drift means the fleet builds different
+// endpoints, in a different order, or sums different counters. tcp, dctcp
+// and mptcp share the TCP stacks, so all three expose them.
+constexpr SeamExpectation kSeam[] = {
+    {"mtp", {12, 1340, 620, 0, 0}, true, false},
+    {"tcp", {12, 1648, 2, 5, 0}, false, true},
+    {"dctcp", {12, 1648, 2, 5, 0}, false, true},
+    {"homa", {12, 1040, 320, 0, 420}, false, false},
+    {"mptcp", {12, 1794, 0, 18, 0}, false, true},
+};
+
+TEST_P(TransportConformance, MetricsAndAccessorsPinnedAcrossFlap) {
+  const auto* want = std::find_if(std::begin(kSeam), std::end(kSeam),
+                                  [](const auto& e) { return e.name == GetParam(); });
+  ASSERT_NE(want, std::end(kSeam)) << "no recorded expectation";
+  auto s = ScenarioBuilder()
+               .seed(9)
+               .topology(topo::dual_path(2))
+               .forwarding(Forwarding::kEcmp)
+               .transport(GetParam())
+               .workload(spaced_schedule(6, 2, 60'000, 8_us))
+               .flap(0, 50_us, 400_us)
+               .build();
+  s->run();
+  const transport::TransportMetrics m = s->transport_metrics();
+  EXPECT_EQ(m.msgs_completed, want->metrics.msgs_completed);
+  EXPECT_EQ(m.pkts_sent, want->metrics.pkts_sent);
+  EXPECT_EQ(m.retransmits, want->metrics.retransmits);
+  EXPECT_EQ(m.timeouts, want->metrics.timeouts);
+  EXPECT_EQ(m.grants_issued, want->metrics.grants_issued);
+  EXPECT_EQ(s->mtp_sender(0) != nullptr, want->mtp_endpoints);
+  EXPECT_EQ(s->mtp_receiver() != nullptr, want->mtp_endpoints);
+  EXPECT_EQ(s->tcp_sender(0) != nullptr, want->tcp_stacks);
+  EXPECT_EQ(s->tcp_receiver() != nullptr, want->tcp_stacks);
+}
+
 INSTANTIATE_TEST_SUITE_P(Zoo, TransportConformance,
                          ::testing::Values("mtp", "tcp", "dctcp", "homa",
                                            "mptcp"),
                          [](const auto& info) { return std::string(info.param); });
 
-// --- registry behavior -------------------------------------------------------
+// --- names -------------------------------------------------------------------
 
 TEST(TransportRegistry, UnknownNameFailsListingRegistered) {
   ScenarioBuilder b;
@@ -177,26 +221,6 @@ TEST(TransportRegistry, UnknownNameFailsListingRegistered) {
       EXPECT_NE(what.find(n), std::string::npos) << n << " missing from: " << what;
     }
   }
-}
-
-TEST(TransportRegistry, CustomTransportsPlugIn) {
-  transport::TransportRegistry::global().add(
-      "mtp-tuned", [](const transport::TransportBuildContext& ctx,
-                      const transport::TransportConfig& cfg) {
-        transport::TransportConfig c = cfg;
-        c.mtp.scheduling = core::MtpConfig::Scheduling::kSrpt;
-        return std::make_unique<transport::MtpFleet>(ctx, c);
-      });
-  auto s = ScenarioBuilder()
-               .seed(2)
-               .topology(topo::incast(2))
-               .transport("mtp-tuned")
-               .workload(spaced_schedule(2, 2, 8'000, 4_us))
-               .build();
-  s->run();
-  EXPECT_EQ(s->fct().count(), 4u);
-  // Concrete accessors still work through the custom factory's fleet type.
-  EXPECT_NE(s->mtp_sender(0), nullptr);
 }
 
 }  // namespace
